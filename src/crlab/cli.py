@@ -64,10 +64,18 @@ def _cmd_crsum(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     threads = resolve_threads(args.threads)
     table = cr_sum.build_table(args.r, args.n, args.s, threads=threads)
-    _write_output(args.out, table.to_csv_text())
-    if args.out is not None:
-        cells = args.r * (args.n + 1)
-        print(f"table r_max={args.r} n_max={args.n} s={args.s}: {cells} cells -> {args.out}")
+    if args.out is None:
+        sys.stdout.flush()
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:  # a text-only replacement such as io.StringIO
+            sys.stdout.write(table.to_csv_text())
+        else:
+            table.write_csv(stream)
+        return EXIT_OK
+    with open(args.out, "wb") as handle:
+        table.write_csv(handle)
+    cells = args.r * (args.n + 1)
+    print(f"table r_max={args.r} n_max={args.n} s={args.s}: {cells} cells -> {args.out}")
     return EXIT_OK
 
 

@@ -3,16 +3,18 @@
 The production route is the exact integer divisor-sum representation
 c_r^s(n) = sum over d | r with d**s | n of mu(r/d) * d**s. The verification
 route evaluates the defining exponential sum over an s-reduced residue
-system mod r**s in floating point. Batch tables are sieved, immutable, and
-exportable as CSV.
+system mod r**s in floating point. Batch tables and period rows come from one
+numpy stride sieve; tables are immutable and stream out as CSV.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .core_arith import (
     mobius,
     mobius_range,
 )
-from .parallel import ordered_parallel_map
 
 # The exponential route costs O(r**s) per call; it exists for verification.
 EXPONENTIAL_ROUTE_LIMIT = 10**7
@@ -42,6 +43,30 @@ def _check_r_n(r: int, n: int) -> None:
         raise ValueError(f"r must be >= 1, got {r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+
+
+def _grid_dtype(r_max: int, s: int) -> type:
+    """int64 when every c_r^s value and partial sum for r <= r_max fits, else object.
+
+    A row's partial sums are bounded by sigma_s(r) <= r**s * (1 + ln r), and
+    ln r < r.bit_length().
+    """
+    return np.int64 if r_max**s * (r_max.bit_length() + 1) < 2**63 else object
+
+
+def _stride_sieve(
+    terms: Iterable[tuple[int, int, int]], rows: int, width: int, s: int, r_max: int
+) -> np.ndarray:
+    """Sieve a (rows, width) grid: for each (i, d, m), add m * d**s to row i along the stride d**s.
+
+    Row i holds c_r^s(n) for 0 <= n < width when terms carry every (d, mu(r/d))
+    with d | r; r_max bounds the r involved and picks the dtype.
+    """
+    grid = np.zeros((rows, width), dtype=_grid_dtype(r_max, s))
+    for i, d, m in terms:
+        ds = d**s
+        grid[i, ::ds] += m * ds
+    return grid
 
 
 def cr_sum_exact(r: int, n: int, s: int) -> int:
@@ -68,13 +93,8 @@ def cr_sum_period_row(r: int, s: int) -> tuple[int, ...]:
     period = r**s
     if period > EXPONENTIAL_ROUTE_LIMIT:
         raise ResourceLimitError(f"period r**s = {period} exceeds {EXPONENTIAL_ROUTE_LIMIT}")
-    row = [0] * period
-    for d in divisors(r):
-        ds = d**s
-        coef = mobius(r // d) * ds
-        for m in range(0, period, ds):
-            row[m] += coef
-    return tuple(row)
+    terms = ((0, d, mobius(r // d)) for d in divisors(r))
+    return tuple(_stride_sieve(terms, 1, period, s, r)[0].tolist())
 
 
 @lru_cache(maxsize=128)
@@ -189,15 +209,26 @@ def cr_values_fixed_n(n: int, s: int, r_max: int) -> list[int]:
     _check_r_n(1, n)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    mu = mobius_range(r_max)
-    out = [0] * (r_max + 1)
-    if n == 0:
-        ds_candidates = range(1, r_max + 1)
-    else:
-        # d**s | n iff d divides the "s-th root part" of n.
+    # d**s | n iff d divides the "s-th root part" of n (0 for n = 0).
+    root_part = 0
+    if n:
         root_part = 1
         for p, e in factorize(n).factors:
             root_part *= p ** (e // s)
+    return _cr_values_at_root(root_part, s, r_max)
+
+
+def _cr_values_at_root(root_part: int, s: int, r_max: int) -> list[int]:
+    """cr_values_fixed_n for any n whose s-th root part is root_part.
+
+    That is the largest m with m**s | n, so d**s | n exactly when d | m; for
+    n = m**s it is m itself, which spares factorizing n.
+    """
+    mu = mobius_range(r_max)
+    out = [0] * (r_max + 1)
+    if root_part == 0:
+        ds_candidates = range(1, r_max + 1)
+    else:
         ds_candidates = [d for d in divisors(root_part) if d <= r_max]
     for d in ds_candidates:
         val = d**s
@@ -235,20 +266,26 @@ class CRSumTable:
             raise ValueError(f"r = {r} outside table range 1..{self.r_max}")
         return self.values[r - 1]
 
+    def write_csv(self, handle: BinaryIO) -> None:
+        """Write the CSV (header r,n,value) as ASCII bytes, one row per write."""
+        handle.write(b"r,n,value\n")
+        tails = [b",%d,%%d\n" % n for n in range(self.n_max + 1)]
+        for r, row in enumerate(self.values, start=1):
+            prefix = b"%d" % r
+            handle.write((prefix + prefix.join(tails)) % row)
+
     def to_csv_text(self) -> str:
-        lines = ["r,n,value"]
-        for r in range(1, self.r_max + 1):
-            row = self.values[r - 1]
-            lines.extend(f"{r},{n},{row[n]}" for n in range(self.n_max + 1))
-        return "\n".join(lines) + "\n"
+        buffer = io.BytesIO()
+        self.write_csv(buffer)
+        return buffer.getvalue().decode("ascii")
 
 
 def build_table(r_max: int, n_max: int, s: int, threads: int = 1) -> CRSumTable:
     """Sieve the full c_r^s table for 1 <= r <= r_max, 0 <= n <= n_max.
 
-    Each row adds mu(r/d) * d**s along the stride of d**s for every d | r;
-    rows are independent, so construction may fan out over threads while the
-    result stays deterministic.
+    Row r = d*q gets mu(q) * d**s along the stride of d**s for every d and
+    squarefree q. The sieve is a single numpy pass; threads is accepted for
+    compatibility and does not change the work or the result.
     """
     check_exponent(s)
     if r_max < 1:
@@ -259,21 +296,14 @@ def build_table(r_max: int, n_max: int, s: int, threads: int = 1) -> CRSumTable:
     if cells > MAX_TABLE_CELLS:
         raise ResourceLimitError(f"table of {cells} cells exceeds budget {MAX_TABLE_CELLS}")
     mu = mobius_range(r_max)
-
-    def build_row(r: int) -> tuple[int, ...]:
-        row = [0] * (n_max + 1)
-        for d in divisors(r):
-            m = mu[r // d]
-            if not m:
-                continue
-            ds = d**s
-            coef = m * ds
-            for n in range(0, n_max + 1, ds):
-                row[n] += coef
-        return tuple(row)
-
-    rows = ordered_parallel_map(build_row, range(1, r_max + 1), threads)
-    return CRSumTable(s=s, r_max=r_max, n_max=n_max, values=tuple(rows))
+    terms = (
+        (d * q - 1, d, mu[q])
+        for d in range(1, r_max + 1)
+        for q in range(1, r_max // d + 1)
+        if mu[q]
+    )
+    grid = _stride_sieve(terms, r_max, n_max + 1, s, r_max)
+    return CRSumTable(s=s, r_max=r_max, n_max=n_max, values=tuple(map(tuple, grid.tolist())))
 
 
 def power_free_absorption_check(r: int, m: int, k: int, s: int) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .core_arith import check_exponent, jordan_totient, tau_s, zeta
-from .cr_sum import cr_sum_exact, cr_sum_period_row, cr_values_fixed_n
+from .cr_sum import _cr_values_at_root, cr_sum_exact, cr_sum_period_row, cr_values_fixed_n
 
 PLAIN_N = "plain_n"
 N_TO_S = "n_to_s"
@@ -92,8 +92,11 @@ def evaluate(family: ExpansionCoefficients, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if not family.coeffs:
         return 0.0
-    arg = n if family.argument_mode == PLAIN_N else n**family.s
-    c_values = cr_values_fixed_n(arg, family.s, len(family.coeffs))
+    if family.argument_mode == PLAIN_N:
+        c_values = cr_values_fixed_n(n, family.s, len(family.coeffs))
+    else:
+        # c_r^s(n**s): the s-th root part of n**s is n, so n**s is never factorized.
+        c_values = _cr_values_at_root(n, family.s, len(family.coeffs))
     total = 0.0
     for i, coef in enumerate(family.coeffs):
         total += coef * c_values[i + 1]

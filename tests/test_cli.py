@@ -1,5 +1,7 @@
 """CLI behavior: outputs, formats, exit codes, and determinism."""
 
+import contextlib
+import io
 import json
 import os
 
@@ -88,6 +90,19 @@ def test_table_threads_do_not_change_bytes(tmp_path, capsys):
         assert code == EXIT_OK
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_table_stdout_matches_file(tmp_path, capsysbinary):
+    path = tmp_path / "t.csv"
+    argv = ["table", "--r", "9", "--n", "33", "--s", "2"]
+    assert main(argv) == EXIT_OK
+    streamed = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(path)]) == EXIT_OK
+    assert streamed == path.read_bytes()
+    assert streamed.startswith(b"r,n,value\n1,0,1\n")
+    with contextlib.redirect_stdout(io.StringIO()) as text_out:
+        assert main(argv) == EXIT_OK
+    assert text_out.getvalue().encode() == streamed
 
 
 def test_table_io_error(tmp_path, capsys):

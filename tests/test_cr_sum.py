@@ -1,8 +1,10 @@
 """Tests for the Cohen-Ramanujan sum routes, tables, and identities."""
 
 import cmath
+import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,11 @@ from crlab.cr_sum import (
     EXPONENTIAL_ROUTE_LIMIT,
     CRSumTable,
     ResourceLimitError,
+    _grid_dtype,
     build_table,
     cr_sum_exact,
     cr_sum_exponential,
+    cr_sum_period_row,
     cr_values_fixed_n,
     orthogonality_value,
     power_free_absorption_check,
@@ -216,6 +220,54 @@ def test_table_csv_format():
     assert table.to_csv_text() == (
         "r,n,value\n1,0,1\n1,1,1\n1,2,1\n2,0,1\n2,1,-1\n2,2,1\n"
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=120),
+    st.integers(min_value=1, max_value=4),
+)
+def test_build_table_matches_exact(r_max, n_max, s):
+    table = build_table(r_max, n_max, s)
+    for r in range(1, r_max + 1):
+        assert table.row(r) == tuple(cr_sum_exact(r, n, s) for n in range(n_max + 1))
+
+
+def test_build_table_object_dtype_fallback():
+    # 11**17 * 5 < 2**63 <= 12**17 * 5: the two shapes straddle the int64 bound.
+    assert _grid_dtype(11, 17) is np.int64
+    assert _grid_dtype(12, 17) is object
+    for r_max in (11, 12):
+        table = build_table(r_max, 40, 17)
+        for r in range(1, r_max + 1):
+            for n in range(41):
+                assert table.value(r, n) == cr_sum_exact(r, n, 17)
+    # At s = 18 the values themselves overflow int64.
+    assert build_table(12, 0, 18).value(12, 0) == jordan_totient(12, 18) > 2**63
+
+
+def test_cr_sum_period_row_matches_exact():
+    for s in (1, 2, 3):
+        for r in (1, 2, 6, 12, 30):
+            row = cr_sum_period_row(r, s)
+            assert len(row) == r**s
+            assert all(type(v) is int for v in row)
+            assert row == tuple(cr_sum_exact(r, n, s) for n in range(r**s))
+    with pytest.raises(ResourceLimitError):
+        cr_sum_period_row(3163, 2)
+
+
+def test_write_csv_matches_text_export():
+    for r_max, n_max, s in ((1, 0, 1), (1, 7, 2), (4, 0, 3), (12, 30, 1), (6, 9, 2)):
+        table = build_table(r_max, n_max, s)
+        buffer = io.BytesIO()
+        table.write_csv(buffer)
+        expected = "r,n,value\n" + "".join(
+            f"{r},{n},{table.value(r, n)}\n" for r in range(1, r_max + 1) for n in range(n_max + 1)
+        )
+        assert buffer.getvalue() == table.to_csv_text().encode() == expected.encode()
+    assert any(v < 0 for row in build_table(12, 30, 1).values for v in row)
 
 
 def test_cr_values_fixed_n_matches_exact():

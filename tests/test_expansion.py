@@ -5,7 +5,7 @@ import math
 import pytest
 
 from crlab.core_arith import divisors, sigma_real, zeta
-from crlab.cr_sum import cr_sum_period_row
+from crlab.cr_sum import cr_sum_exact, cr_sum_period_row
 from crlab.expansion import (
     ExpansionCoefficients,
     as_plain_n,
@@ -124,6 +124,14 @@ def test_evaluate_n_to_s_uses_power_argument():
     for n in (1, 2, 3, 6, 10):
         target = scale * sigma_real(n, 2.0) / n**2
         assert abs(evaluate(fam, n) - target) < 1e-4
+
+
+def test_evaluate_n_to_s_beyond_factorization_bound():
+    # At n = 2**32, n**s = 2**64 is past what factorize accepts; only n is factorized.
+    fam = sigma_expansion(1, 2, 10)
+    for n in (3, 12, 3**20 * 5, 2**32):
+        expected = sum(coef * cr_sum_exact(r, n**2, 2) for r, coef in enumerate(fam.coeffs, start=1))
+        assert evaluate(fam, n) == pytest.approx(expected, rel=1e-12)
 
 
 # --- mean values -------------------------------------------------------------
