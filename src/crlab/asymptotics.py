@@ -26,7 +26,6 @@ from .core_arith import (
 )
 from .cr_sum import CRSumTable, build_table, cr_sum_exact, cr_values_fixed_n
 from .expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
-from .parallel import ordered_parallel_map
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4")
 
@@ -166,14 +165,39 @@ def corollary_lhs(a: float, b: float, s: int, h: int, n_limit: int) -> float:
         raise ValueError(f"h must be >= 0, got {h}")
     if n_limit < 1:
         raise ValueError(f"N must be >= 1, got {n_limit}")
-    xa = a * s
-    xb = b * s
-    sig_a = sigma_power_array(n_limit, xa)
-    sig_b = sigma_power_array(n_limit + h, xb)
+    f = _sigma_ratio_values(a * s, n_limit)
+    g = _sigma_ratio_values(b * s, n_limit + h)
+    return _running_sums(f, g, h, (n_limit,))[0]
+
+
+def _sigma_ratio_values(x: float, limit: int) -> np.ndarray:
+    """values[n] = sigma_x(n) / n**x for n <= limit (slot 0 unused).
+
+    The f and g values of every correlation run come from here. Each entry
+    is sigma_real(n, x) / float(n) ** x bit for bit: the powers use scalar
+    float ** (libm pow), which numpy's vectorized ** does not match.
+    """
+    values = sigma_power_array(limit, x)
+    for n in range(1, limit + 1):
+        values[n] /= float(n) ** x
+    return values
+
+
+def _running_sums(f: np.ndarray, g: np.ndarray, h: int, schedule: Sequence[int]) -> list[float]:
+    """sum_{n<=N} f[n] * g[n + h] for each N of an ascending schedule.
+
+    One pass in ascending n, so each sum equals correlation_sum of the same
+    values bit for bit.
+    """
+    sums = []
     total = 0.0
-    for n in range(1, n_limit + 1):
-        total += (sig_a[n] / float(n) ** xa) * (sig_b[n + h] / float(n + h) ** xb)
-    return float(total)
+    start = 1
+    for stop in schedule:
+        for n in range(start, stop + 1):
+            total += f[n] * g[n + h]
+        sums.append(float(total))
+        start = stop + 1
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +300,6 @@ def _json_number(value: float | int) -> str:
     return _fmt17(value)
 
 
-def _sigma_ratio_values(k: int, limit: int) -> np.ndarray:
-    """values[n] = sigma_k(n) / n**k for n <= limit (slot 0 unused)."""
-    xk = float(k)
-    sig = sigma_power_array(limit, xk)
-    values = np.zeros(limit + 1, dtype=np.float64)
-    for n in range(1, limit + 1):
-        values[n] = sig[n] / float(n) ** xk
-    return values
-
-
 def run_correlation_report(config: CorrelationConfig) -> CorrelationReport:
     """Drive one correlation run over the N schedule.
 
@@ -297,16 +311,8 @@ def run_correlation_report(config: CorrelationConfig) -> CorrelationReport:
     if config.kind == "corollary":
         assert config.a is not None and config.b is not None
         multiplier = corollary_main(config.a, config.b, config.s, config.h)
-        xa = config.a * config.s
-        xb = config.b * config.s
-        sig_a = sigma_power_array(n_top, xa)
-        sig_b = sigma_power_array(n_top + config.h, xb)
-        f_values = [0.0] * (n_top + 1)
-        g_values = [0.0] * (n_top + config.h + 1)
-        for n in range(1, n_top + 1):
-            f_values[n] = sig_a[n] / float(n) ** xa
-        for n in range(1, n_top + config.h + 1):
-            g_values[n] = sig_b[n] / float(n) ** xb
+        f_values = _sigma_ratio_values(config.a * config.s, n_top)
+        g_values = _sigma_ratio_values(config.b * config.s, n_top + config.h)
         theorem = "corollary"
         weight_kind = "cr_at_h"
         params: tuple[tuple[str, float | int], ...] = (
@@ -326,9 +332,7 @@ def run_correlation_report(config: CorrelationConfig) -> CorrelationReport:
             multiplier = theorem2_main(family, family, config.h, config.r_truncation)
             theorem = "T2"
             weight_kind = "cr_at_h"
-        ratio_values = _sigma_ratio_values(config.k, n_top + config.h)
-        f_values = ratio_values
-        g_values = ratio_values
+        f_values = g_values = _sigma_ratio_values(float(config.k), n_top + config.h)
         params = (
             ("k", config.k),
             ("s", config.s),
@@ -338,21 +342,13 @@ def run_correlation_report(config: CorrelationConfig) -> CorrelationReport:
     if multiplier == 0.0:
         raise ValueError("degenerate configuration: the predicted main term is zero")
 
-    schedule_set = set(config.schedule)
+    lhs_values = _running_sums(f_values, g_values, config.h, config.schedule)
     records = []
-    total = 0.0
-    for n in range(1, n_top + 1):
-        total += f_values[n] * g_values[n + config.h]
-        if n in schedule_set:
-            main_term = n * multiplier
-            records.append(
-                CorrelationRecord(
-                    n_limit=n,
-                    lhs=float(total),
-                    main_term=main_term,
-                    ratio=float(total / main_term),
-                )
-            )
+    for n, lhs in zip(config.schedule, lhs_values):
+        main_term = n * multiplier
+        records.append(
+            CorrelationRecord(n_limit=n, lhs=lhs, main_term=main_term, ratio=lhs / main_term)
+        )
     return CorrelationReport(
         theorem=theorem,
         weight_kind=weight_kind,
@@ -451,9 +447,7 @@ def _product_sum(row_r: Sequence[int], row_k: Sequence[int], h: int, n_limit: in
     return sum(x * y for x, y in zip(row_r[1 : n_limit + 1], row_k[1 + h : n_limit + h + 1]))
 
 
-def lemma_check(
-    lemma_id: str, points: Iterable[LemmaGridPoint], threads: int = 1
-) -> LemmaCheckReport:
+def lemma_check(lemma_id: str, points: Iterable[LemmaGridPoint]) -> LemmaCheckReport:
     """Check one product-sum lemma over a grid.
 
     L1: sum c_r(n) c_k(n) <= N tau_s(r**s) tau_s(k**s) (r**s, k**s)_s, no shift.
@@ -488,7 +482,7 @@ def lemma_check(
         pts = [p for p in grid if p.s == s]
         r_top = max(max(p.r, p.k) for p in pts)
         n_top = max(p.n_limit + p.h for p in pts)
-        tables[s] = build_table(r_top, n_top, s, threads=threads)
+        tables[s] = build_table(r_top, n_top, s)
 
     def check_point(p: LemmaGridPoint) -> LemmaEntry:
         table = tables[p.s]
@@ -540,7 +534,7 @@ def lemma_check(
             passed=passed,
         )
 
-    entries = ordered_parallel_map(check_point, grid, threads)
+    entries = [check_point(p) for p in grid]
     return LemmaCheckReport(
         lemma_id=lemma_id,
         entries=tuple(entries),

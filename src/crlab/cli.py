@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 
 from . import asymptotics, cr_sum, expansion
 from .cr_sum import ResourceLimitError
-from .parallel import resolve_threads
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -62,8 +61,7 @@ def _cmd_crsum(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    threads = resolve_threads(args.threads)
-    table = cr_sum.build_table(args.r, args.n, args.s, threads=threads)
+    table = cr_sum.build_table(args.r, args.n, args.s)
     if args.out is None:
         sys.stdout.flush()
         stream = getattr(sys.stdout, "buffer", None)
@@ -197,8 +195,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
         h_values,
         schedule,
     )
-    threads = resolve_threads(args.threads)
-    report = asymptotics.lemma_check(lemma_id, grid, threads=threads)
+    report = asymptotics.lemma_check(lemma_id, grid)
     text = report.to_json_text() if args.format == "json" else report.to_csv_text()
     _write_output(args.out, text)
     if lemma_id == "L2":
@@ -231,15 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default: CRLAB_THREADS or cpu count)")
-
     p = sub.add_parser("crsum", help="one Cohen-Ramanujan sum value")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", choices=("exact", "exponential", "both"), default="exact")
-    add_threads(p)
     p.set_defaults(handler=_cmd_crsum)
 
     p = sub.add_parser("table", help="sieved batch table of c_r^s(n) as CSV")
@@ -247,14 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="n_max")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--out", default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("orthogonality", help="pairwise orthogonality grid over d,t | r")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--out", default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_orthogonality)
 
     p = sub.add_parser("expand", help="closed-form sigma expansion coefficients")
@@ -263,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="also evaluate the truncation at n")
     p.add_argument("--out", default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser("meanvalue", help="finite mean-value coefficient extraction")
@@ -274,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--R", type=int, default=None, help="extract r = 1..R to CSV instead")
     p.add_argument("--out", default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_meanvalue)
 
     p = sub.add_parser("shift", help="shift transform of the s=1 sigma family")
@@ -283,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--out", default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_shift)
 
     p = sub.add_parser("correlate", help="correlation report over an N schedule")
@@ -297,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_correlate)
 
     p = sub.add_parser("lemmas", help="product-sum lemma bound grid")
@@ -309,13 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", required=True, help="comma-separated ascending schedule")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_lemmas)
 
     p = sub.add_parser("decompose", help="h = m**s * k with k s-th power free")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    add_threads(p)
     p.set_defaults(handler=_cmd_decompose)
 
     return parser

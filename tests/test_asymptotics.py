@@ -220,6 +220,29 @@ def test_run_correlation_report_records():
         assert rec.lhs == corollary_lhs(2.0, 2.0, 1, 1, rec.n_limit)
 
 
+def test_report_lhs_matches_independent_correlation_sum():
+    # oracle: correlation_sum over sigma_real closures, which shares no code
+    # with the reports' f/g builder or running sums
+    def ratio(x):
+        return lambda n: sigma_real(n, x) / float(n) ** x
+
+    schedule = (1, 7, 60, 150)
+    for a, b, s, h in ((2.0, 2.0, 1, 1), (1.8, 2.1, 2, 4), (2.5, 1.6, 1, 7)):
+        report = run_correlation_report(
+            CorrelationConfig(kind="corollary", s=s, h=h, schedule=schedule, a=a, b=b)
+        )
+        f, g = ratio(a * s), ratio(b * s)
+        for rec in report.records:
+            assert rec.lhs == correlation_sum(f, g, h, rec.n_limit)
+    for k in (1, 2):
+        report = run_correlation_report(
+            CorrelationConfig(kind="t1", s=1, h=0, schedule=schedule, k=k, r_truncation=20)
+        )
+        f = ratio(float(k))
+        for rec in report.records:
+            assert rec.lhs == correlation_sum(f, f, 0, rec.n_limit)
+
+
 def test_run_t1_and_t2_reports():
     t1 = run_correlation_report(
         CorrelationConfig(kind="t1", s=1, h=0, schedule=(100, 1000), k=1, r_truncation=200)
@@ -335,11 +358,3 @@ def test_lemma_report_serialization():
     lines = report.to_csv_text().splitlines()
     assert lines[0] == "r,k,s,h,N,measured,bound,normalized"
     assert len(lines) == 2
-
-
-def test_lemma_check_threads_deterministic():
-    grid = build_lemma_grid(range(1, 8), range(1, 8), (1,), (0, 1), (100, 300))
-    a = lemma_check("L3", grid, threads=1)
-    b = lemma_check("L3", grid, threads=4)
-    assert a == b
-    assert a.to_json_text() == b.to_json_text()

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from crlab import cr_sum
 from crlab.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, parse_schedule
 
 
@@ -79,19 +80,6 @@ def test_table_output_and_determinism(tmp_path, capsys):
     assert first == "1,0,1"
 
 
-def test_table_threads_do_not_change_bytes(tmp_path, capsys):
-    outs = []
-    for threads in ("1", "4"):
-        path = tmp_path / f"t{threads}.csv"
-        code, _, _ = run_cli(
-            capsys, "table", "--r", "12", "--n", "80", "--s", "1",
-            "--out", str(path), "--threads", threads,
-        )
-        assert code == EXIT_OK
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_table_stdout_matches_file(tmp_path, capsysbinary):
     path = tmp_path / "t.csv"
     argv = ["table", "--r", "9", "--n", "33", "--s", "2"]
@@ -114,14 +102,14 @@ def test_table_io_error(tmp_path, capsys):
     assert "I/O" in err
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CRLAB_THREADS", "2")
-    path = tmp_path / "env.csv"
-    code, _, _ = run_cli(capsys, "table", "--r", "5", "--n", "10", "--s", "1", "--out", str(path))
-    assert code == EXIT_OK
-    monkeypatch.setenv("CRLAB_THREADS", "zebra")
-    code, _, err = run_cli(capsys, "table", "--r", "5", "--n", "10", "--s", "1", "--out", str(path))
-    assert code == EXIT_USAGE
+def test_threads_flag_is_rejected(tmp_path):
+    for argv in (
+        ["table", "--r", "5", "--n", "10", "--s", "1", "--out", str(tmp_path / "t.csv")],
+        ["lemmas", "--which", "1", "--rmax", "2", "--kmax", "2", "--s", "1", "--N", "10"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--threads", "2"])
+        assert excinfo.value.code == 2
 
 
 # --- orthogonality -----------------------------------------------------------
@@ -141,6 +129,19 @@ def test_orthogonality_grid_csv(tmp_path, capsys):
         values[(int(d), int(t))] = int(v)
     assert values[(2, 3)] == 0 and values[(3, 2)] == 0
     assert values[(6, 6)] == 2  # J_1(6) = phi(6)
+
+
+def test_orthogonality_over_budget_exits_before_summing(capsys, monkeypatch):
+    # 6**12 is about 2.2e9 terms per (d, t) pair; the budget must stop the
+    # run before any period row is sieved or summed
+    def no_rows(r, s):
+        raise AssertionError(f"period row c_{r}^{s} built for an over-budget r**s")
+
+    monkeypatch.setattr(cr_sum, "cr_sum_period_row", no_rows)
+    code, out, err = run_cli(capsys, "orthogonality", "--r", "6", "--s", "12")
+    assert code == EXIT_RESOURCE
+    assert "resource" in err
+    assert out == ""
 
 
 # --- expand / meanvalue / shift ----------------------------------------------
