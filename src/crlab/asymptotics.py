@@ -324,14 +324,9 @@ def run_correlation_report(config: CorrelationConfig) -> CorrelationReport:
     else:
         assert config.k is not None and config.r_truncation is not None
         family = as_plain_n(sigma_expansion(config.k, 1, config.r_truncation))
-        if config.kind == "t1":
-            multiplier = theorem1_main(family, family, config.r_truncation)
-            theorem = "T1"
-            weight_kind = "phi"
-        else:
-            multiplier = theorem2_main(family, family, config.h, config.r_truncation)
-            theorem = "T2"
-            weight_kind = "cr_at_h"
+        # T1 is T2 at h = 0 (validated above): c_r^s(0) = Phi_s(r**s).
+        multiplier = theorem2_main(family, family, config.h, config.r_truncation)
+        theorem, weight_kind = ("T1", "phi") if config.kind == "t1" else ("T2", "cr_at_h")
         f_values = g_values = _sigma_ratio_values(float(config.k), n_top + config.h)
         params = (
             ("k", config.k),

@@ -114,33 +114,37 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _make_meanvalue_function(args: argparse.Namespace) -> Callable[[int], float]:
-    from .core_arith import sigma_real
-
+    """f(n) for n <= N, built once per run and shared by every r."""
     if args.method == "one":
         return lambda n: 1.0
     if args.method == "crsum":
         q = args.k
         if q is None or q < 1:
             raise ValueError("meanvalue --method crsum needs --k (the inner index q)")
-        row = cr_sum.cr_sum_period_row(q, args.s)
+        row = [float(c) for c in cr_sum.cr_sum_period_row(q, args.s)]
         period = q**args.s
-        return lambda n: float(row[n % period])
-    if args.method == "sigma":
-        if args.k is None or args.k < 1:
-            raise ValueError("meanvalue --method sigma needs --k")
-        exponent = float(args.k * args.s)
-        return lambda n: sigma_real(n, exponent) / float(n) ** exponent
-    raise ValueError(f"unknown meanvalue method {args.method!r}")
+        return lambda n: row[n % period]
+    if args.k is None or args.k < 1:
+        raise ValueError("meanvalue --method sigma needs --k")
+    # ndarray.item keeps 8 bytes per n and hands out plain Python floats.
+    return asymptotics._sigma_ratio_values(args.k * args.s, args.N).item
 
 
 def _cmd_meanvalue(args: argparse.Namespace) -> int:
+    if args.out is not None and args.R is None:
+        raise ValueError("meanvalue --out writes the r = 1..R coefficient CSV and needs --R")
     f = _make_meanvalue_function(args)
     if args.R is not None:
-        lines = ["r,coefficient"]
-        for r in range(1, args.R + 1):
-            coef = expansion.mean_value_coefficient(f, r, args.s, args.N)
-            lines.append(f"{r},{coef:.17g}")
-        _write_output(args.out, "\n".join(lines) + "\n")
+        family = expansion.ExpansionCoefficients(
+            s=args.s,
+            argument_mode=expansion.PLAIN_N,
+            coeffs=tuple(
+                expansion.mean_value_coefficient(f, r, args.s, args.N)
+                for r in range(1, args.R + 1)
+            ),
+            provenance=f"mean_value(method={args.method}, N={args.N})",
+        )
+        _write_output(args.out, expansion.coefficients_to_csv_text(family))
         if args.out is not None:
             print(f"mean-value coefficients r=1..{args.R} (N={args.N}) -> {args.out}")
         return EXIT_OK
@@ -187,12 +191,11 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _cmd_lemmas(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.N)
     lemma_id = f"L{args.which}"
-    h_values = (0,) if lemma_id == "L1" else (args.h,)
     grid = asymptotics.build_lemma_grid(
         range(1, args.rmax + 1),
         range(1, args.kmax + 1),
         (args.s,),
-        h_values,
+        (args.h,),
         schedule,
     )
     report = asymptotics.lemma_check(lemma_id, grid)

@@ -93,8 +93,13 @@ def cr_sum_period_row(r: int, s: int) -> tuple[int, ...]:
     period = r**s
     if period > EXPONENTIAL_ROUTE_LIMIT:
         raise ResourceLimitError(f"period r**s = {period} exceeds {EXPONENTIAL_ROUTE_LIMIT}")
+    return tuple(_cr_row(r, s, period))
+
+
+def _cr_row(r: int, s: int, width: int) -> list[int]:
+    """c_r^s(m) for m = 0 .. width - 1 in one stride-sieve pass; width need not be r**s."""
     terms = ((0, d, mobius(r // d)) for d in divisors(r))
-    return tuple(_stride_sieve(terms, 1, period, s, r)[0].tolist())
+    return _stride_sieve(terms, 1, width, s, r)[0].tolist()
 
 
 @lru_cache(maxsize=128)

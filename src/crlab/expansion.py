@@ -14,15 +14,11 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .core_arith import check_exponent, jordan_totient, tau_s, zeta
-from .cr_sum import _cr_values_at_root, cr_sum_exact, cr_sum_period_row, cr_values_fixed_n
+from .cr_sum import _cr_row, _cr_values_at_root, cr_values_fixed_n
 
 PLAIN_N = "plain_n"
 N_TO_S = "n_to_s"
 _MODES = (PLAIN_N, N_TO_S)
-
-# Period rows are materialized only up to this length; beyond it the
-# mean-value loop falls back to per-n evaluation.
-_ROW_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -117,14 +113,11 @@ def mean_value_coefficient(f: Callable[[int], float], r: int, s: int, n_limit: i
     if n_limit < 1:
         raise ValueError(f"n_limit must be >= 1, got {n_limit}")
     period = r**s
+    # Only the residues n <= N reaches are sieved: one period, or less when N < r**s.
+    row = _cr_row(r, s, min(period, n_limit + 1))
     total = 0.0
-    if period <= _ROW_LIMIT:
-        row = cr_sum_period_row(r, s)
-        for n in range(1, n_limit + 1):
-            total += f(n) * row[n % period]
-    else:
-        for n in range(1, n_limit + 1):
-            total += f(n) * cr_sum_exact(r, n, s)
+    for n in range(1, n_limit + 1):
+        total += f(n) * row[n % period]
     return total / n_limit / jordan_totient(r, s)
 
 

@@ -244,17 +244,21 @@ def test_report_lhs_matches_independent_correlation_sum():
 
 
 def test_run_t1_and_t2_reports():
+    fam = as_plain_n(sigma_expansion(1, 1, 200))
     t1 = run_correlation_report(
         CorrelationConfig(kind="t1", s=1, h=0, schedule=(100, 1000), k=1, r_truncation=200)
     )
     assert t1.theorem == "T1" and t1.weight_kind == "phi"
     assert 0.8 < t1.records[-1].ratio < 1.2
+    # the Phi_s(r**s)-weighted reference, bit for bit
+    assert [rec.main_term for rec in t1.records] == [
+        n * theorem1_main(fam, fam, 200) for n in (100, 1000)
+    ]
 
     t2 = run_correlation_report(
         CorrelationConfig(kind="t2", s=1, h=2, schedule=(100, 1000), k=1, r_truncation=200)
     )
     assert t2.theorem == "T2" and t2.weight_kind == "cr_at_h"
-    fam = as_plain_n(sigma_expansion(1, 1, 200))
     assert t2.records[-1].main_term == 1000 * theorem2_main(fam, fam, 2, 200)
 
 

@@ -9,6 +9,8 @@ import pytest
 
 from crlab import cr_sum
 from crlab.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, parse_schedule
+from crlab.core_arith import jordan_totient, sigma_real
+from crlab.cr_sum import cr_sum_exact
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +185,35 @@ def test_meanvalue_range_csv(tmp_path, capsys):
     assert float(lines[2].split(",")[1]) == 0.0  # full periods of c_2
 
 
+def test_meanvalue_sigma_csv_matches_independent_oracle(tmp_path, capsys):
+    for k, s, N in ((1, 1, 300), (2, 2, 200)):
+        path = tmp_path / f"mv_{k}_{s}.csv"
+        code, _, _ = run_cli(
+            capsys, "meanvalue", "--method", "sigma", "--k", str(k), "--s", str(s),
+            "--N", str(N), "--R", "4", "--out", str(path),
+        )
+        assert code == EXIT_OK
+        x = float(k * s)
+        expected = ["r,coefficient"]
+        for r in range(1, 5):
+            total = 0.0
+            for n in range(1, N + 1):
+                total += sigma_real(n, x) / float(n) ** x * cr_sum_exact(r, n, s)
+            expected.append(f"{r},{total / N / jordan_totient(r, s):.17g}")
+        assert path.read_text().splitlines() == expected
+
+
+def test_meanvalue_out_needs_range(tmp_path, capsys):
+    path = tmp_path / "mv.csv"
+    code, out, err = run_cli(
+        capsys, "meanvalue", "--method", "one", "--s", "1", "--N", "10", "--out", str(path)
+    )
+    assert code == EXIT_USAGE
+    assert "--R" in err
+    assert out == ""
+    assert not path.exists()
+
+
 def test_shift_h_zero_matches_expand(tmp_path, capsys):
     a = tmp_path / "expand.csv"
     b = tmp_path / "shift0.csv"
@@ -268,6 +299,17 @@ def test_lemmas_stdout_report_is_pure_json(capsys):
     assert code == EXIT_OK
     parsed = json.loads(out)
     assert parsed["lemma"] == "L3"
+
+
+def test_lemmas_l1_rejects_shift(capsys):
+    argv = ["lemmas", "--which", "1", "--rmax", "3", "--kmax", "3", "--s", "1", "--N", "50"]
+    code, out, err = run_cli(capsys, *argv, "--h", "5")
+    assert code == EXIT_USAGE
+    assert "shift" in err
+    assert out == ""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["lemma"] == "L1"
 
 
 # --- decompose ---------------------------------------------------------------

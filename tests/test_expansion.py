@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from crlab.core_arith import divisors, sigma_real, zeta
+from crlab.core_arith import divisors, jordan_totient, sigma_real, zeta
 from crlab.cr_sum import cr_sum_exact, cr_sum_period_row
 from crlab.expansion import (
     ExpansionCoefficients,
@@ -144,6 +144,18 @@ def test_mean_value_examples():
     assert mean_value_coefficient(lambda n: 1.0, 2, 2, 16) == 0.0
     for N in (1, 7, 16):
         assert mean_value_coefficient(lambda n: 1.0, 1, 2, N) == 1.0
+
+
+def test_mean_value_partial_period_matches_exact_oracle():
+    # N < r**s (1001**2 is past a million; 30**13 needs object-dtype cells and
+    # strides past int64) and N around one period of c_7^2
+    f = lambda n: sigma_real(n, 2.0) / float(n) ** 2.0
+    cases = ((1001, 2, 2000), (30, 13, 20000), (7, 2, 30), (7, 2, 48), (7, 2, 49), (7, 2, 100))
+    for r, s, N in cases:
+        total = 0.0
+        for n in range(1, N + 1):
+            total += f(n) * cr_sum_exact(r, n, s)
+        assert mean_value_coefficient(f, r, s, N) == total / N / jordan_totient(r, s), (r, s, N)
 
 
 def test_is_period_exact():
