@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,7 +25,13 @@ from .core_arith import (
     tau_s,
     zeta,
 )
-from .cr_sum import CRSumTable, build_table, cr_sum_exact, cr_values_fixed_n
+from .cr_sum import (
+    CRSumTable,
+    ResourceLimitError,
+    build_table,
+    cr_sum_exact,
+    cr_values_fixed_n,
+)
 from .expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4")
@@ -140,18 +147,51 @@ def corollary_main(a: float, b: float, s: int, h: int) -> float:
     return zeta(a + 1.0) * zeta(b + 1.0) / zeta(a + b + 2.0) * sigma_real(m, -(a + b + 1.0) * s)
 
 
-def sigma_power_array(limit: int, x: float) -> np.ndarray:
-    """arr[n] = sum of d**x over d | n for n <= limit (slot 0 unused).
+# Largest n a sigma row is built for. A correlate run holds at most three
+# float64 rows of about N + h cells at once (f, g and the power row or the
+# running sums), so at this limit it peaks near 0.5 GB.
+MAX_SIGMA_LIMIT = 20_000_000
 
-    Sieved over d in ascending order, which matches the addend order of
-    sigma_real exactly, so arr[n] == sigma_real(n, x) bit for bit.
+
+def _power_row(limit: int, x: float) -> np.ndarray:
+    """pw[d] = float(d) ** x for d <= limit (slot 0 is 0.0).
+
+    Each power is a scalar float ** (libm pow), the same bits as sigma_real;
+    numpy's vectorized ** does not match them.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit > MAX_SIGMA_LIMIT:
+        raise ResourceLimitError(f"sigma row up to n = {limit} exceeds {MAX_SIGMA_LIMIT}")
+    powers = map(pow, map(float, range(1, limit + 1)), repeat(x))
+    return np.fromiter(chain((0.0,), powers), dtype=np.float64, count=limit + 1)
+
+
+def _divisor_power_sieve(pw: np.ndarray) -> np.ndarray:
+    """arr[n] = sum of pw[d] over d | n, added in ascending d for every n.
+
+    Divisors d <= isqrt(L) are added by stride. Each larger divisor is
+    d = n / m with m < d, so the cofactors m are taken in descending order,
+    each adding the slice pw[lo : L//m + 1] along the stride m.
+    """
+    limit = len(pw) - 1
     arr = np.zeros(limit + 1, dtype=np.float64)
-    for d in range(1, limit + 1):
-        arr[d::d] += float(d) ** x
+    lo = math.isqrt(limit) + 1
+    for d in range(1, lo):
+        arr[d::d] += pw[d]
+    for m in range(limit // lo, 0, -1):
+        hi = limit // m
+        arr[m * lo : m * hi + 1 : m] += pw[lo : hi + 1]
     return arr
+
+
+def sigma_power_array(limit: int, x: float) -> np.ndarray:
+    """arr[n] = sum of d**x over d | n for n <= limit (slot 0 unused).
+
+    Every n receives its addends in ascending d, the addend order of
+    sigma_real, so arr[n] == sigma_real(n, x) bit for bit.
+    """
+    return _divisor_power_sieve(_power_row(limit, x))
 
 
 def corollary_lhs(a: float, b: float, s: int, h: int, n_limit: int) -> float:
@@ -174,30 +214,26 @@ def _sigma_ratio_values(x: float, limit: int) -> np.ndarray:
     """values[n] = sigma_x(n) / n**x for n <= limit (slot 0 unused).
 
     The f and g values of every correlation run come from here. Each entry
-    is sigma_real(n, x) / float(n) ** x bit for bit: the powers use scalar
-    float ** (libm pow), which numpy's vectorized ** does not match.
+    is sigma_real(n, x) / float(n) ** x bit for bit: one power row feeds
+    both the sieve and the elementwise division.
     """
-    values = sigma_power_array(limit, x)
-    for n in range(1, limit + 1):
-        values[n] /= float(n) ** x
+    pw = _power_row(limit, x)
+    values = _divisor_power_sieve(pw)
+    values[1:] /= pw[1:]
     return values
 
 
 def _running_sums(f: np.ndarray, g: np.ndarray, h: int, schedule: Sequence[int]) -> list[float]:
     """sum_{n<=N} f[n] * g[n + h] for each N of an ascending schedule.
 
-    One pass in ascending n, so each sum equals correlation_sum of the same
-    values bit for bit.
+    np.cumsum (add.accumulate) adds strictly in ascending n, so each sum
+    equals correlation_sum of the same values bit for bit; np.sum and
+    np.dot sum pairwise and would not.
     """
-    sums = []
-    total = 0.0
-    start = 1
-    for stop in schedule:
-        for n in range(start, stop + 1):
-            total += f[n] * g[n + h]
-        sums.append(float(total))
-        start = stop + 1
-    return sums
+    top = schedule[-1]
+    sums = np.multiply(f[1 : top + 1], g[1 + h : top + h + 1])
+    np.cumsum(sums, out=sums)
+    return [float(sums[n - 1]) for n in schedule]
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,12 @@ def shift_coefficients(family: ExpansionCoefficients, h: int) -> ExpansionCoeffi
         raise ValueError(f"h must be >= 0, got {h}")
     if not family.coeffs:
         return replace(family, provenance=f"shifted(h={h})")
-    c_at_h = cr_values_fixed_n(h, family.s, len(family.coeffs))
+    r_max = len(family.coeffs)
+    c_at_h = cr_values_fixed_n(h, family.s, r_max)
+    # c_r^s(0) = Phi_s(r**s): one sieve instead of a factorization per r.
+    phi = cr_values_fixed_n(0, family.s, r_max)
     shifted = tuple(
-        coef * (c_at_h[i + 1] / jordan_totient(i + 1, family.s))
-        for i, coef in enumerate(family.coeffs)
+        coef * (c_at_h[i + 1] / phi[i + 1]) for i, coef in enumerate(family.coeffs)
     )
     return replace(family, coeffs=shifted, provenance=f"shifted(h={h})")
 

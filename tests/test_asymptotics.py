@@ -4,11 +4,17 @@ the lemma bound grids."""
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crlab.asymptotics import (
+    MAX_SIGMA_LIMIT,
     CorrelationConfig,
     LemmaGridPoint,
+    _running_sums,
+    _sigma_ratio_values,
     build_lemma_grid,
     correlation_sum,
     corollary_lhs,
@@ -21,7 +27,7 @@ from crlab.asymptotics import (
     theorem2_main,
 )
 from crlab.core_arith import is_power_free, jordan_totient, sigma_real, zeta
-from crlab.cr_sum import build_table, cr_sum_exact
+from crlab.cr_sum import ResourceLimitError, build_table, cr_sum_exact
 from crlab.expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
 # zeta(3)**2 / zeta(6), frozen from a 30-digit mpmath evaluation
@@ -181,6 +187,50 @@ def test_sigma_power_array_matches_sigma_real_bitwise():
         arr = sigma_power_array(200, x)
         for n in range(1, 201):
             assert arr[n] == sigma_real(n, x)
+
+
+# Limits drawn freely, plus k*k - 1, k*k and k*k + 1, the edges of the
+# sieve's isqrt(L) split.
+_SIEVE_LIMITS = st.one_of(
+    st.integers(min_value=1, max_value=3000),
+    st.builds(
+        lambda k, e: max(1, k * k + e),
+        st.integers(min_value=1, max_value=54),
+        st.sampled_from((-1, 0, 1)),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=_SIEVE_LIMITS, x=st.sampled_from((2.0, -3.5, 0.5, 1.7, 3)))
+def test_sigma_sieve_matches_sigma_real_bitwise(limit, x):
+    # oracle: sigma_real sums float(d) ** x over the divisor list of n
+    arr = sigma_power_array(limit, x)
+    ratios = _sigma_ratio_values(x, limit)
+    assert arr.shape == ratios.shape == (limit + 1,)
+    for n in range(1, limit + 1):
+        expected = sigma_real(n, x)
+        assert arr[n].hex() == expected.hex()
+        assert ratios[n].hex() == (expected / float(n) ** x).hex()
+
+
+def test_sigma_rows_respect_budget():
+    with pytest.raises(ResourceLimitError):
+        sigma_power_array(MAX_SIGMA_LIMIT + 1, 2.0)
+    with pytest.raises(ResourceLimitError):
+        _sigma_ratio_values(2.0, MAX_SIGMA_LIMIT + 1)
+
+
+def test_running_sums_match_correlation_sum_bitwise():
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(320)
+    g = rng.standard_normal(310)
+    for h in (0, 1, 9):
+        # a one-entry schedule, and one whose last N + h is the end of g
+        for schedule in ((37,), (1, 2, 50, 299, 309 - h)):
+            sums = _running_sums(f, g, h, schedule)
+            expected = [correlation_sum(f.item, g.item, h, n) for n in schedule]
+            assert [v.hex() for v in sums] == [v.hex() for v in expected]
 
 
 def test_corollary_ratio_improves_with_n():

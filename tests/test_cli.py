@@ -5,9 +5,11 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from crlab import cr_sum
+from crlab.asymptotics import MAX_SIGMA_LIMIT
 from crlab.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, parse_schedule
 from crlab.core_arith import jordan_totient, sigma_real
 from crlab.cr_sum import cr_sum_exact
@@ -255,6 +257,38 @@ def test_correlate_csv_and_determinism(tmp_path, capsys):
         assert code == EXIT_OK
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].read_text().splitlines()[0] == "N,lhs,main_term,ratio"
+
+
+def _forbid_sigma_rows(monkeypatch):
+    # the budget must stop the run before any sigma row is filled
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a sigma row was allocated for an over-budget N")
+
+    monkeypatch.setattr(np, "fromiter", no_rows)
+
+
+def test_correlate_over_budget_exits_before_allocating(capsys, monkeypatch):
+    _forbid_sigma_rows(monkeypatch)
+    over = str(MAX_SIGMA_LIMIT + 1)
+    for argv in (
+        ("--method", "corollary", "--a", "2", "--b", "2", "--s", "1", "--h", "1"),
+        ("--method", "t2", "--k", "1", "--R", "5", "--s", "1", "--h", "2"),
+    ):
+        code, out, err = run_cli(capsys, "correlate", *argv, "--N", over)
+        assert code == EXIT_RESOURCE
+        assert "resource" in err
+        assert out == ""
+
+
+def test_meanvalue_sigma_over_budget_exits_before_allocating(capsys, monkeypatch):
+    _forbid_sigma_rows(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "meanvalue", "--method", "sigma", "--k", "1", "--s", "1",
+        "--N", str(MAX_SIGMA_LIMIT + 1),
+    )
+    assert code == EXIT_RESOURCE
+    assert "resource" in err
+    assert out == ""
 
 
 def test_correlate_rejects_unsorted_schedule(capsys):
