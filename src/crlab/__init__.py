@@ -25,6 +25,7 @@ from .cr_sum import (
     cr_sum_exact,
     cr_sum_exponential,
     cr_values_fixed_n,
+    orthogonality_grid,
     orthogonality_value,
     power_free_absorption_check,
     ramanujan_sum_oracle,

@@ -10,8 +10,8 @@ with real exponents, and report serialization.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -26,15 +26,22 @@ from .core_arith import (
     zeta,
 )
 from .cr_sum import (
-    CRSumTable,
+    MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
     ResourceLimitError,
-    build_table,
+    _divisor_power_sieve,
+    _exact_matmul,
+    _power_row,
+    _sieve_rows,
     cr_sum_exact,
     cr_values_fixed_n,
 )
 from .expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4")
+
+# Largest lemma grid, in points. Each point becomes a grid point, a report
+# entry and a line of output, several hundred bytes in all.
+MAX_LEMMA_POINTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -145,44 +152,6 @@ def corollary_main(a: float, b: float, s: int, h: int) -> float:
     check_exponent(s)
     m = decompose_h(h, s).m
     return zeta(a + 1.0) * zeta(b + 1.0) / zeta(a + b + 2.0) * sigma_real(m, -(a + b + 1.0) * s)
-
-
-# Largest n a sigma row is built for. A correlate run holds at most three
-# float64 rows of about N + h cells at once (f, g and the power row or the
-# running sums), so at this limit it peaks near 0.5 GB.
-MAX_SIGMA_LIMIT = 20_000_000
-
-
-def _power_row(limit: int, x: float) -> np.ndarray:
-    """pw[d] = float(d) ** x for d <= limit (slot 0 is 0.0).
-
-    Each power is a scalar float ** (libm pow), the same bits as sigma_real;
-    numpy's vectorized ** does not match them.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > MAX_SIGMA_LIMIT:
-        raise ResourceLimitError(f"sigma row up to n = {limit} exceeds {MAX_SIGMA_LIMIT}")
-    powers = map(pow, map(float, range(1, limit + 1)), repeat(x))
-    return np.fromiter(chain((0.0,), powers), dtype=np.float64, count=limit + 1)
-
-
-def _divisor_power_sieve(pw: np.ndarray) -> np.ndarray:
-    """arr[n] = sum of pw[d] over d | n, added in ascending d for every n.
-
-    Divisors d <= isqrt(L) are added by stride. Each larger divisor is
-    d = n / m with m < d, so the cofactors m are taken in descending order,
-    each adding the slice pw[lo : L//m + 1] along the stride m.
-    """
-    limit = len(pw) - 1
-    arr = np.zeros(limit + 1, dtype=np.float64)
-    lo = math.isqrt(limit) + 1
-    for d in range(1, lo):
-        arr[d::d] += pw[d]
-    for m in range(limit // lo, 0, -1):
-        hi = limit // m
-        arr[m * lo : m * hi + 1 : m] += pw[lo : hi + 1]
-    return arr
 
 
 def sigma_power_array(limit: int, x: float) -> np.ndarray:
@@ -462,20 +431,65 @@ def build_lemma_grid(
     h_values: Iterable[int],
     n_values: Iterable[int],
 ) -> list[LemmaGridPoint]:
-    """Cartesian grid of lemma check points in deterministic order."""
+    """Cartesian grid of lemma check points in deterministic order.
+
+    Grids beyond MAX_LEMMA_POINTS are rejected before any point is built.
+    """
+    axes = [tuple(values) for values in (r_values, k_values, s_values, h_values, n_values)]
+    count = math.prod(len(values) for values in axes)
+    if count > MAX_LEMMA_POINTS:
+        raise ResourceLimitError(f"lemma grid of {count} points exceeds {MAX_LEMMA_POINTS}")
+    rs, ks, ss, hs, ns = axes
     return [
         LemmaGridPoint(r=r, k=k, s=s, h=h, n_limit=n)
-        for s in s_values
-        for r in r_values
-        for k in k_values
-        for h in h_values
-        for n in n_values
+        for s in ss
+        for r in rs
+        for k in ks
+        for h in hs
+        for n in ns
     ]
 
 
-def _product_sum(row_r: Sequence[int], row_k: Sequence[int], h: int, n_limit: int) -> int:
-    """Exact integer sum over n = 1..N of c_r(n) * c_k(n + h) from table rows."""
-    return sum(x * y for x, y in zip(row_r[1 : n_limit + 1], row_k[1 + h : n_limit + h + 1]))
+def _lemma_product_sums(grid: Sequence[LemmaGridPoint]) -> dict[LemmaGridPoint, int]:
+    """sum_{n=1}^{N} c_r^s(n) c_k^s(n + h) for every grid point, exactly.
+
+    One sieve per s holds the rows of the r and k that occur. Per (s, h),
+    with A the distinct r rows and B the distinct k rows, all sums up to N
+    are A[:, 1:N+1] @ B[:, 1+h:N+h+1].T, added block by block between
+    consecutive N. |c_r^s| <= J_s(r) <= r**s bounds every partial sum by
+    N r**s k**s, which picks int64 or exact Python ints.
+    """
+    by_s: dict[int, list[LemmaGridPoint]] = defaultdict(list)
+    for p in grid:
+        by_s[p.s].append(p)
+    sums: dict[LemmaGridPoint, int] = {}
+    for s, pts in by_s.items():
+        r_values = sorted({p.r for p in pts} | {p.k for p in pts})
+        rows = _sieve_rows(r_values, max(p.n_limit + p.h for p in pts), s)
+        row_of = {r: i for i, r in enumerate(r_values)}
+        by_h: dict[int, list[LemmaGridPoint]] = defaultdict(list)
+        for p in pts:
+            by_h[p.h].append(p)
+        for h, group in by_h.items():
+            rs = sorted({p.r for p in group})
+            ks = sorted({p.k for p in group})
+            a = rows[[row_of[r] for r in rs]]
+            b = rows[[row_of[k] for k in ks]]
+            n_values = sorted({p.n_limit for p in group})
+            bound = n_values[-1] * rs[-1] ** s * ks[-1] ** s
+            i_r = {r: i for i, r in enumerate(rs)}
+            i_k = {k: i for i, k in enumerate(ks)}
+            total, prev = 0, 0
+            at_n = {}
+            for n in n_values:
+                block_a = a[:, prev + 1 : n + 1]
+                block_b = b[:, prev + 1 + h : n + h + 1]
+                total = total + _exact_matmul(block_a, block_b.T, bound)
+                at_n[n] = total.tolist()
+                prev = n
+            for p in group:
+                sums[p] = at_n[p.n_limit][i_r[p.r]][i_k[p.k]]
+    return sums
 
 
 def lemma_check(lemma_id: str, points: Iterable[LemmaGridPoint]) -> LemmaCheckReport:
@@ -508,18 +522,10 @@ def lemma_check(lemma_id: str, points: Iterable[LemmaGridPoint]) -> LemmaCheckRe
         if lemma_id == "L4" and p.h > p.n_limit:
             raise ValueError(f"L4 requires h <= N, got h={p.h}, N={p.n_limit}")
 
-    tables: dict[int, CRSumTable] = {}
-    for s in sorted({p.s for p in grid}):
-        pts = [p for p in grid if p.s == s]
-        r_top = max(max(p.r, p.k) for p in pts)
-        n_top = max(p.n_limit + p.h for p in pts)
-        tables[s] = build_table(r_top, n_top, s)
+    sums = _lemma_product_sums(grid)
 
     def check_point(p: LemmaGridPoint) -> LemmaEntry:
-        table = tables[p.s]
-        row_r = table.row(p.r)
-        row_k = table.row(p.k)
-        total = _product_sum(row_r, row_k, p.h, p.n_limit)
+        total = sums[p]
         rs = p.r**p.s
         ks = p.k**p.s
         if lemma_id == "L1":

@@ -78,20 +78,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_orthogonality(args: argparse.Namespace) -> int:
-    from .core_arith import divisors, jordan_totient
+    from .core_arith import jordan_totient
 
-    divs = divisors(args.r)
+    grid = cr_sum.orthogonality_grid(args.r, args.s)
     lines = ["d,t,value"]
     failures = 0
-    for d in divs:
-        for t in divs:
-            value = cr_sum.orthogonality_value(args.r, d, t, args.s)
-            expected = jordan_totient(d, args.s) if d == t else 0
-            if value != expected:
-                failures += 1
-            lines.append(f"{d},{t},{value}")
+    for d, t, value in grid:
+        expected = jordan_totient(d, args.s) if d == t else 0
+        if value != expected:
+            failures += 1
+        lines.append(f"{d},{t},{value}")
     _write_output(args.out, "\n".join(lines) + "\n")
-    pairs = len(divs) ** 2
+    pairs = len(grid)
     if failures:
         print(f"orthogonality r={args.r} s={args.s}: {failures}/{pairs} pairs FAILED", file=sys.stderr)
         return EXIT_ASSERTION

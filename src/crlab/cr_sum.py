@@ -3,8 +3,10 @@
 The production route is the exact integer divisor-sum representation
 c_r^s(n) = sum over d | r with d**s | n of mu(r/d) * d**s. The verification
 route evaluates the defining exponential sum over an s-reduced residue
-system mod r**s in floating point. Batch tables and period rows come from one
-numpy stride sieve; tables are immutable and stream out as CSV.
+system mod r**s in floating point. Batch tables, lemma rows and period rows
+come from one numpy stride sieve; tables are immutable and stream out as CSV,
+and orthogonality sums are exact integer Gram matrices of period rows. The
+float divisor-power sieve behind the sigma rows and tau(r) lives here too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import BinaryIO, Iterable
+from itertools import chain, repeat
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +35,14 @@ EXPONENTIAL_ROUTE_LIMIT = 10**7
 
 # Memory budget for dense batch tables, in cells.
 MAX_TABLE_CELLS = 50_000_000
+
+# Largest n a sigma row is built for. A correlate run holds at most three
+# float64 rows of about N + h cells at once (f, g and the power row or the
+# running sums), so at this limit it peaks near 0.5 GB.
+MAX_SIGMA_LIMIT = 20_000_000
+
+# int64 matrix products are used while every partial sum stays below this.
+_INT64_LIMIT = 2**63
 
 
 class ResourceLimitError(RuntimeError):
@@ -67,6 +78,71 @@ def _stride_sieve(
         ds = d**s
         grid[i, ::ds] += m * ds
     return grid
+
+
+def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
+    """c_r^s(n) for 0 <= n <= n_max, one row per r of the ascending, distinct r_values.
+
+    Row r = d*q gets mu(q) * d**s along the stride of d**s for every d and
+    squarefree q; rows for r not in r_values are never allocated. The grid
+    is held to MAX_TABLE_CELLS before anything is sieved.
+    """
+    cells = len(r_values) * (n_max + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise ResourceLimitError(f"table of {cells} cells exceeds budget {MAX_TABLE_CELLS}")
+    r_top = r_values[-1]
+    row_of = {r: i for i, r in enumerate(r_values)}
+    mu = mobius_range(r_top)
+    terms = (
+        (row_of[d * q], d, mu[q])
+        for d in range(1, r_top + 1)
+        for q in range(1, r_top // d + 1)
+        if mu[q] and d * q in row_of
+    )
+    return _stride_sieve(terms, len(r_values), n_max + 1, s, r_top)
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """a @ b in exact integers, given that bound caps every |partial sum|.
+
+    int64 matmul wraps silently, so past _INT64_LIMIT both operands become
+    object arrays and numpy multiplies and adds Python ints.
+    """
+    if bound >= _INT64_LIMIT:
+        a, b = a.astype(object), b.astype(object)
+    return a @ b
+
+
+def _power_row(limit: int, x: float) -> np.ndarray:
+    """pw[d] = float(d) ** x for d <= limit (slot 0 is 0.0).
+
+    Each power is a scalar float ** (libm pow), the same bits as sigma_real;
+    numpy's vectorized ** does not match them.
+    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit > MAX_SIGMA_LIMIT:
+        raise ResourceLimitError(f"sigma row up to n = {limit} exceeds {MAX_SIGMA_LIMIT}")
+    powers = map(pow, map(float, range(1, limit + 1)), repeat(x))
+    return np.fromiter(chain((0.0,), powers), dtype=np.float64, count=limit + 1)
+
+
+def _divisor_power_sieve(pw: np.ndarray) -> np.ndarray:
+    """arr[n] = sum of pw[d] over d | n, added in ascending d for every n.
+
+    Divisors d <= isqrt(L) are added by stride. Each larger divisor is
+    d = n / m with m < d, so the cofactors m are taken in descending order,
+    each adding the slice pw[lo : L//m + 1] along the stride m.
+    """
+    limit = len(pw) - 1
+    arr = np.zeros(limit + 1, dtype=np.float64)
+    lo = math.isqrt(limit) + 1
+    for d in range(1, lo):
+        arr[d::d] += pw[d]
+    for m in range(limit // lo, 0, -1):
+        hi = limit // m
+        arr[m * lo : m * hi + 1 : m] += pw[lo : hi + 1]
+    return arr
 
 
 def cr_sum_exact(r: int, n: int, s: int) -> int:
@@ -111,11 +187,7 @@ def s_reduced_residues(r: int, s: int) -> np.ndarray:
     """
     check_exponent(s)
     _check_r_n(r, 0)
-    period = r**s
-    if period > EXPONENTIAL_ROUTE_LIMIT:
-        raise ResourceLimitError(
-            f"r**s = {period} exceeds the exponential-route limit {EXPONENTIAL_ROUTE_LIMIT}"
-        )
+    period = _check_period(r, s)
     mask = np.ones(period + 1, dtype=bool)
     mask[0] = False
     for p, _ in factorize(r).factors:
@@ -175,6 +247,57 @@ def ramanujan_sum_oracle(r: int, n: int) -> int:
     return mu_m * (phi_count(r) // phi_count(m))
 
 
+def _check_period(r: int, s: int) -> int:
+    """r**s, held to EXPONENTIAL_ROUTE_LIMIT: exponential and orthogonality sums have r**s terms."""
+    period = r**s
+    if period > EXPONENTIAL_ROUTE_LIMIT:
+        raise ResourceLimitError(
+            f"r**s = {period} exceeds the exponential-route limit {EXPONENTIAL_ROUTE_LIMIT}"
+        )
+    return period
+
+
+def _period_gram(r: int, divs: Sequence[int], s: int) -> list[list[Fraction]]:
+    """(1/r**s) * sum_{m=1}^{r**s} c_d^s(m) c_t^s(m) for every d, t in divs (each d | r).
+
+    The rows c_d^s(m), m = 0 .. r**s - 1, come from one stride sieve and the
+    inner sums are their Gram matrix; by periodicity m = r**s stands in for
+    m = 0. Each |c_d^s| <= r**s, so every sum is below r**(3s). Every inner
+    sum is checked for exact divisibility by r**s.
+    """
+    period = _check_period(r, s)
+    cells = len(divs) * period
+    if cells > MAX_TABLE_CELLS:
+        raise ResourceLimitError(
+            f"orthogonality grid of {cells} cells exceeds budget {MAX_TABLE_CELLS}"
+        )
+    terms = ((i, e, mobius(d // e)) for i, d in enumerate(divs) for e in divisors(d))
+    rows = _stride_sieve(terms, len(divs), period, s, r)
+    gram = _exact_matmul(rows, rows.T, period**3).tolist()
+    for d, sums in zip(divs, gram):
+        for t, total in zip(divs, sums):
+            if total % period != 0:
+                raise ArithmeticError(
+                    f"orthogonality inner sum {total} for d = {d}, t = {t} "
+                    f"is not divisible by r**s = {period}"
+                )
+    return [[Fraction(total, period) for total in sums] for sums in gram]
+
+
+def orthogonality_grid(r: int, s: int) -> list[tuple[int, int, Fraction]]:
+    """(d, t, orthogonality_value(r, d, t, s)) for all divisors d, t of r, d-major.
+
+    One sieve of the tau(r) period rows and one Gram matrix, so the grid
+    holds tau(r) * r**s cells and is limited to MAX_TABLE_CELLS as well as
+    r**s <= EXPONENTIAL_ROUTE_LIMIT.
+    """
+    check_exponent(s)
+    _check_r_n(r, 0)
+    divs = divisors(r)
+    gram = _period_gram(r, divs, s)
+    return [(d, t, value) for d, row in zip(divs, gram) for t, value in zip(divs, row)]
+
+
 def orthogonality_value(r: int, d: int, t: int, s: int) -> Fraction:
     """(1/r**s) * sum_{m=1}^{r**s} c_d^s(m) c_t^s(m) as an exact rational.
 
@@ -191,22 +314,7 @@ def orthogonality_value(r: int, d: int, t: int, s: int) -> Fraction:
         raise ValueError(f"d = {d} does not divide r = {r}")
     if r % t != 0:
         raise ValueError(f"t = {t} does not divide r = {r}")
-    period = r**s
-    if period > EXPONENTIAL_ROUTE_LIMIT:
-        raise ResourceLimitError(
-            f"r**s = {period} exceeds the exponential-route limit {EXPONENTIAL_ROUTE_LIMIT}"
-        )
-    row_d = cr_sum_period_row(d, s)
-    row_t = cr_sum_period_row(t, s)
-    pd, pt = d**s, t**s
-    total = 0
-    for m in range(1, period + 1):
-        total += row_d[m % pd] * row_t[m % pt]
-    if total % period != 0:
-        raise ArithmeticError(
-            f"orthogonality inner sum {total} is not divisible by r**s = {period}"
-        )
-    return Fraction(total, period)
+    return _period_gram(r, (d, t), s)[0][1]
 
 
 def cr_values_fixed_n(n: int, s: int, r_max: int) -> list[int]:
@@ -297,27 +405,13 @@ class CRSumTable:
 
 
 def build_table(r_max: int, n_max: int, s: int) -> CRSumTable:
-    """Sieve the full c_r^s table for 1 <= r <= r_max, 0 <= n <= n_max.
-
-    Row r = d*q gets mu(q) * d**s along the stride of d**s for every d and
-    squarefree q, in a single numpy pass.
-    """
+    """Sieve the full c_r^s table for 1 <= r <= r_max, 0 <= n <= n_max in one numpy pass."""
     check_exponent(s)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    cells = r_max * (n_max + 1)
-    if cells > MAX_TABLE_CELLS:
-        raise ResourceLimitError(f"table of {cells} cells exceeds budget {MAX_TABLE_CELLS}")
-    mu = mobius_range(r_max)
-    terms = (
-        (d * q - 1, d, mu[q])
-        for d in range(1, r_max + 1)
-        for q in range(1, r_max // d + 1)
-        if mu[q]
-    )
-    grid = _stride_sieve(terms, r_max, n_max + 1, s, r_max)
+    grid = _sieve_rows(range(1, r_max + 1), n_max, s)
     return CRSumTable(s=s, r_max=r_max, n_max=n_max, values=tuple(map(tuple, grid.tolist())))
 
 

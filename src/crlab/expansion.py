@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .core_arith import check_exponent, jordan_totient, tau_s, zeta
-from .cr_sum import _cr_row, _cr_values_at_root, cr_values_fixed_n
+import numpy as np
+
+from .core_arith import check_exponent, jordan_totient, zeta
+from .cr_sum import _cr_row, _cr_values_at_root, _divisor_power_sieve, cr_values_fixed_n
 
 PLAIN_N = "plain_n"
 N_TO_S = "n_to_s"
@@ -152,10 +154,15 @@ def shift_coefficients(family: ExpansionCoefficients, h: int) -> ExpansionCoeffi
 
 
 def tau_weighted_norm(family: ExpansionCoefficients) -> float:
-    """sum_{r <= R} |fhat(r)| * tau(r), the absolute-convergence diagnostic."""
+    """sum_{r <= R} |fhat(r)| * tau(r), the absolute-convergence diagnostic.
+
+    tau(r) comes from one divisor sieve of ones (exact small integers in
+    float64) and the terms are added in ascending r.
+    """
+    tau = _divisor_power_sieve(np.ones(len(family.coeffs) + 1))
     total = 0.0
-    for i, coef in enumerate(family.coeffs):
-        total += abs(coef) * tau_s(i + 1, 1)
+    for coef, t in zip(family.coeffs, tau[1:].tolist()):
+        total += abs(coef) * t
     return total
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crlab import asymptotics
 from crlab.asymptotics import (
     MAX_SIGMA_LIMIT,
     CorrelationConfig,
@@ -412,3 +413,108 @@ def test_lemma_report_serialization():
     lines = report.to_csv_text().splitlines()
     assert lines[0] == "r,k,s,h,N,measured,bound,normalized"
     assert len(lines) == 2
+
+
+def _exact_product_sum(r: int, k: int, s: int, h: int, n_limit: int) -> int:
+    # oracle: per-n divisor sums from cr_sum_exact, no sieve and no matrix
+    return sum(cr_sum_exact(r, n, s) * cr_sum_exact(k, n + h, s) for n in range(1, n_limit + 1))
+
+
+def _expected_measured(lemma_id: str, p: LemmaGridPoint) -> float:
+    total = _exact_product_sum(p.r, p.k, p.s, p.h, p.n_limit)
+    if lemma_id == "L2":
+        main = p.n_limit * cr_sum_exact(p.r, p.h, p.s) if p.r == p.k else 0
+        return float(abs(total - main))
+    if lemma_id == "L3":
+        return float(abs(total))
+    return float(total)
+
+
+def _assert_measured_matches_oracle(lemma_id: str, points: list[LemmaGridPoint]) -> None:
+    report = lemma_check(lemma_id, points)
+    kept = [p for p in points if lemma_id != "L2" or p.r**p.s * p.k**p.s > 1]
+    assert [(e.r, e.k, e.s, e.h, e.n_limit) for e in report.entries] == [
+        (p.r, p.k, p.s, p.h, p.n_limit) for p in kept
+    ]
+    for e, p in zip(report.entries, kept):
+        assert e.measured == _expected_measured(lemma_id, p)
+
+
+@st.composite
+def _lemma_points(draw):
+    lemma_id = draw(st.sampled_from(asymptotics.LEMMA_IDS))
+    # a few (s, h) shapes shared by several points, so sums are built
+    # block by block across more than one N of the same shape
+    max_h = 0 if lemma_id == "L1" else 9
+    shape = st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=max_h))
+    shapes = draw(st.lists(shape, min_size=1, max_size=3))
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        s, h = draw(st.sampled_from(shapes))
+        points.append(
+            LemmaGridPoint(
+                r=draw(st.integers(min_value=1, max_value=40)),
+                k=draw(st.integers(min_value=1, max_value=40)),
+                s=s,
+                h=h,
+                n_limit=draw(st.integers(min_value=max(h, 1), max_value=240)),
+            )
+        )
+    if lemma_id == "L2" and all(p.r == p.k == 1 for p in points):
+        points.append(LemmaGridPoint(2, 1, 1, 0, 10))
+    return lemma_id, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_lemma_points())
+def test_lemma_measured_matches_exact_oracle(case):
+    # sparse, non-Cartesian points with mixed s and h, in any N order
+    lemma_id, points = case
+    _assert_measured_matches_oracle(lemma_id, points)
+
+
+def test_lemma_measured_repeated_unsorted_points():
+    points = [
+        LemmaGridPoint(12, 7, 2, 3, 90),
+        LemmaGridPoint(6, 5, 1, 3, 90),
+        LemmaGridPoint(1, 30, 1, 0, 5),
+        LemmaGridPoint(12, 7, 2, 3, 17),
+        LemmaGridPoint(6, 5, 1, 3, 17),
+        LemmaGridPoint(12, 7, 2, 3, 90),
+        LemmaGridPoint(30, 30, 1, 4, 60),
+        LemmaGridPoint(7, 12, 2, 0, 90),
+        LemmaGridPoint(6, 5, 1, 3, 40),
+    ]
+    for lemma_id in ("L2", "L3", "L4"):
+        _assert_measured_matches_oracle(lemma_id, points)
+    _assert_measured_matches_oracle("L1", [p for p in points if p.h == 0])
+
+
+def test_lemma_sums_fall_back_to_python_ints_past_int64(monkeypatch):
+    # N * 30**5 * 29**5 > 2**63 although every c value fits the int64 grid
+    calls = []
+    exact_matmul = asymptotics._exact_matmul
+
+    def spy(a, b, bound):
+        product = exact_matmul(a, b, bound)
+        calls.append((a.dtype, b.dtype, bound, product.dtype))
+        return product
+
+    monkeypatch.setattr(asymptotics, "_exact_matmul", spy)
+    points = [LemmaGridPoint(30, 29, 5, 1, 20_000), LemmaGridPoint(28, 30, 5, 1, 7)]
+    _assert_measured_matches_oracle("L3", points)
+    assert calls
+    for a, b, bound, product in calls:
+        assert a == b == np.int64 and bound >= 2**63 and product == object
+
+
+def test_lemma_grid_point_budget(monkeypatch):
+    monkeypatch.setattr(asymptotics, "MAX_LEMMA_POINTS", 12)
+    assert len(build_lemma_grid(range(1, 4), range(1, 3), (1,), (0, 1), (5,))) == 12
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("grid point built for an over-budget grid")
+
+    monkeypatch.setattr(asymptotics, "LemmaGridPoint", no_points)
+    with pytest.raises(ResourceLimitError):
+        build_lemma_grid(range(1, 4), range(1, 3), (1,), (0, 1), (5, 6))

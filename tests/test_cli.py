@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from crlab import cr_sum
+from crlab import asymptotics, cr_sum
 from crlab.asymptotics import MAX_SIGMA_LIMIT
 from crlab.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, parse_schedule
 from crlab.core_arith import jordan_totient, sigma_real
@@ -344,6 +344,21 @@ def test_lemmas_l1_rejects_shift(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert json.loads(out)["lemma"] == "L1"
+
+
+def test_lemmas_over_point_budget_exits_before_building(capsys, monkeypatch):
+    # 10**8 points on a table of only 2 * 10**4 cells
+    def no_points(*args, **kwargs):
+        raise AssertionError("grid point built for an over-budget grid")
+
+    monkeypatch.setattr(asymptotics, "LemmaGridPoint", no_points)
+    code, out, err = run_cli(
+        capsys, "lemmas", "--which", "3", "--rmax", "10000", "--kmax", "10000", "--s", "1",
+        "--N", "1",
+    )
+    assert code == EXIT_RESOURCE
+    assert "resource" in err and str(asymptotics.MAX_LEMMA_POINTS) in err
+    assert out == ""
 
 
 # --- decompose ---------------------------------------------------------------

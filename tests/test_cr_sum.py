@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crlab import cr_sum
 from crlab.core_arith import divisors, gcd_s, jordan_totient, klee_phi, mobius, sigma_ks
 from crlab.cr_sum import (
     EXPONENTIAL_ROUTE_LIMIT,
@@ -20,6 +22,7 @@ from crlab.cr_sum import (
     cr_sum_exponential,
     cr_sum_period_row,
     cr_values_fixed_n,
+    orthogonality_grid,
     orthogonality_value,
     power_free_absorption_check,
     ramanujan_sum_oracle,
@@ -162,6 +165,76 @@ def test_orthogonality_grid():
                 for t in divisors(r):
                     expected = jordan_totient(d, s) if d == t else 0
                     assert orthogonality_value(r, d, t, s) == expected
+
+
+def _sympy_jordan(d: int, s: int) -> int:
+    out = 1
+    for p, e in sympy.factorint(d).items():
+        out *= int(p) ** (s * e) - int(p) ** (s * (e - 1))
+    return out
+
+
+def test_orthogonality_grid_matches_pairs_and_sympy():
+    for r, s in [(r, s) for s in (1, 2) for r in range(1, 25)] + [(2520, 1), (12, 3)]:
+        grid = orthogonality_grid(r, s)
+        divs = [int(d) for d in sympy.divisors(r)]
+        assert [(d, t) for d, t, _ in grid] == [(d, t) for d in divs for t in divs]
+        for d, t, value in grid:
+            if d != t:
+                assert value == 0
+            elif s == 1:
+                assert value == int(sympy.totient(d))
+            else:
+                assert value == _sympy_jordan(d, s)
+            if r <= 24 or d * t % 7 == 0:
+                assert value == orthogonality_value(r, d, t, s)
+
+
+def test_orthogonality_object_dtype_path(monkeypatch):
+    expected = orthogonality_grid(12, 2)
+    products = []
+    exact_matmul = cr_sum._exact_matmul
+
+    def spy(a, b, bound):
+        products.append(exact_matmul(a, b, bound))
+        return products[-1]
+
+    monkeypatch.setattr(cr_sum, "_INT64_LIMIT", 1)
+    monkeypatch.setattr(cr_sum, "_exact_matmul", spy)
+    assert orthogonality_grid(12, 2) == expected
+    assert orthogonality_value(12, 4, 4, 2) == jordan_totient(4, 2)
+    assert products and all(p.dtype == object for p in products)
+    assert all(type(v) is int for p in products for v in p.flat)
+
+
+def test_orthogonality_rejects_indivisible_sums(monkeypatch):
+    # one corrupted cell, c_1(1) = 2, makes the (1, 1) sum r**s + 3
+    stride_sieve = cr_sum._stride_sieve
+
+    def corrupted(*args):
+        grid = stride_sieve(*args)
+        grid[0, 1] += 1
+        return grid
+
+    monkeypatch.setattr(cr_sum, "_stride_sieve", corrupted)
+    with pytest.raises(ArithmeticError):
+        orthogonality_grid(6, 1)
+    with pytest.raises(ArithmeticError):
+        orthogonality_value(6, 1, 1, 1)
+
+
+def test_orthogonality_grid_budgets(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("period rows sieved for an over-budget grid")
+
+    monkeypatch.setattr(cr_sum, "_stride_sieve", no_sieve)
+    with pytest.raises(ResourceLimitError):
+        orthogonality_grid(2, 24)  # r**s = 2**24 > EXPONENTIAL_ROUTE_LIMIT
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 6 * 144 - 1)
+    with pytest.raises(ResourceLimitError):
+        orthogonality_grid(12, 2)  # tau(12) = 6 rows of 144 cells
+    with pytest.raises(ValueError):
+        orthogonality_grid(0, 1)
 
 
 # --- batch tables ------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from crlab.core_arith import divisors, jordan_totient, sigma_real, zeta
+from crlab.core_arith import divisors, jordan_totient, sigma_real, tau_s, zeta
 from crlab.cr_sum import cr_sum_exact, cr_sum_period_row
 from crlab.expansion import (
     ExpansionCoefficients,
@@ -249,6 +249,23 @@ def test_tau_weighted_norm_examples():
         s=1, argument_mode="plain_n", coeffs=(0.0, 0.0, 0.0, 0.0, 0.0, 1.0), provenance="x"
     )
     assert tau_weighted_norm(single) == 4.0
+
+
+def test_tau_weighted_norm_matches_factorized_tau_bitwise():
+    # oracle: tau_s(r, 1) from factorize, added in ascending r
+    signs = ExpansionCoefficients(
+        s=1,
+        argument_mode="plain_n",
+        coeffs=tuple((-1.0) ** r * math.sqrt(r) / 7.0 for r in range(1, 2501)),
+        provenance="x",
+    )
+    for family in (sigma_expansion(1, 1, 3000), sigma_expansion(2, 2, 1), signs):
+        expected = 0.0
+        for r, coef in enumerate(family.coeffs, start=1):
+            expected += abs(coef) * tau_s(r, 1)
+        assert tau_weighted_norm(family).hex() == expected.hex()
+    empty = ExpansionCoefficients(s=1, argument_mode="plain_n", coeffs=(), provenance="x")
+    assert tau_weighted_norm(empty) == 0.0
 
 
 def test_csv_roundtrip_preserves_bits():
