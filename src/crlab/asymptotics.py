@@ -19,7 +19,6 @@ import numpy as np
 from .core_arith import (
     check_exponent,
     factorize,
-    gcd_s,
     jordan_totient,
     sigma_real,
     tau_s,
@@ -528,8 +527,10 @@ def lemma_check(lemma_id: str, points: Iterable[LemmaGridPoint]) -> LemmaCheckRe
         total = sums[p]
         rs = p.r**p.s
         ks = p.k**p.s
+        # tau_s(r**s, s) = tau(r) and (r**s, k**s)_s = gcd(r, k)**s: the L1 and
+        # L3 bounds never factorize r**s, which may pass the factorize limit.
         if lemma_id == "L1":
-            bound = p.n_limit * tau_s(rs, p.s) * tau_s(ks, p.s) * gcd_s(rs, ks, p.s)
+            bound = p.n_limit * tau_s(p.r, 1) * tau_s(p.k, 1) * math.gcd(p.r, p.k) ** p.s
             measured = float(total)
             passed = total <= bound
             normalized = measured / bound
@@ -547,8 +548,8 @@ def lemma_check(lemma_id: str, points: Iterable[LemmaGridPoint]) -> LemmaCheckRe
                 math.sqrt(p.n_limit)
                 * math.sqrt(p.n_limit + p.h)
                 * math.sqrt(rs * ks)
-                * tau_s(rs, p.s)
-                * tau_s(ks, p.s)
+                * tau_s(p.r, 1)
+                * tau_s(p.k, 1)
             )
             measured = float(abs(total))
             passed = measured <= bound_f

@@ -13,6 +13,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import asymptotics, cr_sum, expansion
+from .core_arith import jordan_totient
 from .cr_sum import ResourceLimitError
 
 EXIT_OK = 0
@@ -78,8 +79,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_orthogonality(args: argparse.Namespace) -> int:
-    from .core_arith import jordan_totient
-
     grid = cr_sum.orthogonality_grid(args.r, args.s)
     lines = ["d,t,value"]
     failures = 0

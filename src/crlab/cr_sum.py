@@ -3,10 +3,12 @@
 The production route is the exact integer divisor-sum representation
 c_r^s(n) = sum over d | r with d**s | n of mu(r/d) * d**s. The verification
 route evaluates the defining exponential sum over an s-reduced residue
-system mod r**s in floating point. Batch tables, lemma rows and period rows
-come from one numpy stride sieve; tables are immutable and stream out as CSV,
-and orthogonality sums are exact integer Gram matrices of period rows. The
-float divisor-power sieve behind the sigma rows and tau(r) lives here too.
+system mod r**s in floating point. Every sieved row (batch tables, lemma
+rows, period rows and mean-value rows) comes from one row builder: the terms
+(d, mu(r/d)) of each row are generated from factorize(r) and added by one
+numpy stride sieve. Tables are immutable and stream out as CSV, and
+orthogonality sums are exact integer Gram matrices of period rows. The float
+divisor-power sieve behind the sigma rows and tau(r) lives here too.
 """
 
 from __future__ import annotations
@@ -80,26 +82,31 @@ def _stride_sieve(
     return grid
 
 
-def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
-    """c_r^s(n) for 0 <= n <= n_max, one row per r of the ascending, distinct r_values.
+def _mobius_terms(r: int) -> list[tuple[int, int]]:
+    """The 2**omega(r) pairs (d, mu(r/d)) with d | r and r/d squarefree.
 
-    Row r = d*q gets mu(q) * d**s along the stride of d**s for every d and
-    squarefree q; rows for r not in r_values are never allocated. The grid
-    is held to MAX_TABLE_CELLS before anything is sieved.
+    Starting from (r, 1), each prime p of r adds a copy of every term so far
+    with d divided by p and the sign flipped.
+    """
+    terms = [(r, 1)]
+    for p, _ in factorize(r).factors:
+        terms += [(d // p, -m) for d, m in terms]
+    return terms
+
+
+def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
+    """c_r^s(n) for 0 <= n <= n_max, one row per entry of r_values, in that order.
+
+    Row i gets mu(r/d) * d**s along the stride of d**s for every term of
+    _mobius_terms(r_values[i]), so a row costs one factorize and 2**omega(r)
+    strides, however large r is. The grid is held to MAX_TABLE_CELLS before
+    anything is sieved.
     """
     cells = len(r_values) * (n_max + 1)
     if cells > MAX_TABLE_CELLS:
         raise ResourceLimitError(f"table of {cells} cells exceeds budget {MAX_TABLE_CELLS}")
-    r_top = r_values[-1]
-    row_of = {r: i for i, r in enumerate(r_values)}
-    mu = mobius_range(r_top)
-    terms = (
-        (row_of[d * q], d, mu[q])
-        for d in range(1, r_top + 1)
-        for q in range(1, r_top // d + 1)
-        if mu[q] and d * q in row_of
-    )
-    return _stride_sieve(terms, len(r_values), n_max + 1, s, r_top)
+    terms = ((i, d, m) for i, r in enumerate(r_values) for d, m in _mobius_terms(r))
+    return _stride_sieve(terms, len(r_values), n_max + 1, s, max(r_values))
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
@@ -166,16 +173,8 @@ def cr_sum_period_row(r: int, s: int) -> tuple[int, ...]:
     """c_r^s(m) for m = 0 .. r**s - 1; the sum is periodic mod r**s."""
     check_exponent(s)
     _check_r_n(r, 0)
-    period = r**s
-    if period > EXPONENTIAL_ROUTE_LIMIT:
-        raise ResourceLimitError(f"period r**s = {period} exceeds {EXPONENTIAL_ROUTE_LIMIT}")
-    return tuple(_cr_row(r, s, period))
-
-
-def _cr_row(r: int, s: int, width: int) -> list[int]:
-    """c_r^s(m) for m = 0 .. width - 1 in one stride-sieve pass; width need not be r**s."""
-    terms = ((0, d, mobius(r // d)) for d in divisors(r))
-    return _stride_sieve(terms, 1, width, s, r)[0].tolist()
+    period = _check_period(r, s)
+    return tuple(_sieve_rows((r,), period - 1, s)[0].tolist())
 
 
 @lru_cache(maxsize=128)
@@ -266,13 +265,7 @@ def _period_gram(r: int, divs: Sequence[int], s: int) -> list[list[Fraction]]:
     sum is checked for exact divisibility by r**s.
     """
     period = _check_period(r, s)
-    cells = len(divs) * period
-    if cells > MAX_TABLE_CELLS:
-        raise ResourceLimitError(
-            f"orthogonality grid of {cells} cells exceeds budget {MAX_TABLE_CELLS}"
-        )
-    terms = ((i, e, mobius(d // e)) for i, d in enumerate(divs) for e in divisors(d))
-    rows = _stride_sieve(terms, len(divs), period, s, r)
+    rows = _sieve_rows(divs, period - 1, s)
     gram = _exact_matmul(rows, rows.T, period**3).tolist()
     for d, sums in zip(divs, gram):
         for t, total in zip(divs, sums):

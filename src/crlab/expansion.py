@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core_arith import check_exponent, jordan_totient, zeta
-from .cr_sum import _cr_row, _cr_values_at_root, _divisor_power_sieve, cr_values_fixed_n
+from .cr_sum import _cr_values_at_root, _divisor_power_sieve, _sieve_rows, cr_values_fixed_n
 
 PLAIN_N = "plain_n"
 N_TO_S = "n_to_s"
@@ -116,7 +116,7 @@ def mean_value_coefficient(f: Callable[[int], float], r: int, s: int, n_limit: i
         raise ValueError(f"n_limit must be >= 1, got {n_limit}")
     period = r**s
     # Only the residues n <= N reaches are sieved: one period, or less when N < r**s.
-    row = _cr_row(r, s, min(period, n_limit + 1))
+    row = _sieve_rows((r,), min(period - 1, n_limit), s)[0].tolist()
     total = 0.0
     for n in range(1, n_limit + 1):
         total += f(n) * row[n % period]

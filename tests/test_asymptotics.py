@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -518,3 +519,40 @@ def test_lemma_grid_point_budget(monkeypatch):
     monkeypatch.setattr(asymptotics, "LemmaGridPoint", no_points)
     with pytest.raises(ResourceLimitError):
         build_lemma_grid(range(1, 4), range(1, 3), (1,), (0, 1), (5, 6))
+
+
+def _sympy_tau_power(m: int, s: int) -> int:
+    # tau_s(m, s): the divisors of m that are perfect s-th powers
+    return sum(1 for d in sympy.divisors(m) if sympy.integer_nthroot(d, s)[1])
+
+
+def _sympy_gcd_power(a: int, b: int, s: int) -> int:
+    # (a, b)_s: the largest l**s dividing gcd(a, b)
+    out = 1
+    for p, e in sympy.factorint(sympy.gcd(a, b)).items():
+        out *= int(p) ** (s * (e // s))
+    return out
+
+
+def test_lemma_bounds_past_factorize_limit():
+    # 39**12 and 40**12 are past 2**63 - 1, where factorize stops
+    s = 12
+    assert 39**s > 2**63
+    l1_points = build_lemma_grid((39, 40), (39, 40), (s,), (0,), (10, 20))
+    l3_points = build_lemma_grid((39, 40), (39, 40), (s,), (0, 3), (10, 20))
+    l1 = lemma_check("L1", l1_points)
+    l3 = lemma_check("L3", l3_points)
+    assert l1.all_pass and l3.all_pass
+    for lemma_id, report in (("L1", l1), ("L3", l3)):
+        for e in report.entries:
+            rs, ks = e.r**s, e.k**s
+            tau_r, tau_k = _sympy_tau_power(rs, s), _sympy_tau_power(ks, s)
+            assert (tau_r, tau_k) == (sympy.divisor_count(e.r), sympy.divisor_count(e.k))
+            if lemma_id == "L1":
+                expected = float(e.n_limit * tau_r * tau_k * _sympy_gcd_power(rs, ks, s))
+            else:
+                n, h = e.n_limit, e.h
+                expected = math.sqrt(n) * math.sqrt(n + h) * math.sqrt(rs * ks) * tau_r * tau_k
+            assert e.bound == expected, (lemma_id, e)
+    _assert_measured_matches_oracle("L1", l1_points)
+    _assert_measured_matches_oracle("L3", l3_points)

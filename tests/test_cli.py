@@ -138,10 +138,10 @@ def test_orthogonality_grid_csv(tmp_path, capsys):
 def test_orthogonality_over_budget_exits_before_summing(capsys, monkeypatch):
     # 6**12 is about 2.2e9 terms per (d, t) pair; the budget must stop the
     # run before any period row is sieved or summed
-    def no_rows(r, s):
-        raise AssertionError(f"period row c_{r}^{s} built for an over-budget r**s")
+    def no_rows(*args):
+        raise AssertionError("period rows sieved for an over-budget r**s")
 
-    monkeypatch.setattr(cr_sum, "cr_sum_period_row", no_rows)
+    monkeypatch.setattr(cr_sum, "_stride_sieve", no_rows)
     code, out, err = run_cli(capsys, "orthogonality", "--r", "6", "--s", "12")
     assert code == EXIT_RESOURCE
     assert "resource" in err

@@ -327,6 +327,26 @@ def test_cr_sum_period_row_matches_exact():
         cr_sum_period_row(3163, 2)
 
 
+def test_sieve_rows_cost_follows_the_rows_asked_for(monkeypatch):
+    # each row's terms come from factorize(r), so no Mobius table up to the
+    # largest r is built and a large or prime r costs 2**omega(r) strides
+    def no_table(limit):
+        raise AssertionError(f"mobius_range({limit}) built for a few asked rows")
+
+    monkeypatch.setattr(cr_sum, "mobius_range", no_table)
+    # unsorted, with a repeat: row i belongs to r_values[i]
+    r_values = [10**9 + 7, 1, 2**20, 2 * 3 * 5 * 7 * 11 * 13, 10**6, 2 * 3 * 5 * 7 * 11 * 13]
+    for r in set(r_values):
+        expected = {(int(d), int(sympy.mobius(r // d))) for d in sympy.divisors(r)}
+        assert set(cr_sum._mobius_terms(r)) == {(d, m) for d, m in expected if m}
+    n_max = 1200
+    for s in (1, 2):
+        rows = cr_sum._sieve_rows(r_values, n_max, s)
+        assert rows.shape == (len(r_values), n_max + 1)
+        for r, row in zip(r_values, rows.tolist()):
+            assert row == [cr_sum_exact(r, n, s) for n in range(n_max + 1)], (r, s)
+
+
 def test_write_csv_matches_text_export():
     for r_max, n_max, s in ((1, 0, 1), (1, 7, 2), (4, 0, 3), (12, 30, 1), (6, 9, 2)):
         table = build_table(r_max, n_max, s)

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from crlab import cr_sum
 from crlab.core_arith import divisors, jordan_totient, sigma_real, tau_s, zeta
-from crlab.cr_sum import cr_sum_exact, cr_sum_period_row
+from crlab.cr_sum import ResourceLimitError, cr_sum_exact, cr_sum_period_row
 from crlab.expansion import (
     ExpansionCoefficients,
     as_plain_n,
@@ -156,6 +157,20 @@ def test_mean_value_partial_period_matches_exact_oracle():
         for n in range(1, N + 1):
             total += f(n) * cr_sum_exact(r, n, s)
         assert mean_value_coefficient(f, r, s, N) == total / N / jordan_totient(r, s), (r, s, N)
+
+
+def test_mean_value_row_held_to_table_budget(monkeypatch):
+    # the row covers min(r**s, N + 1) residues: 48 cells fit, a period of 49 does not
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 48)
+    # c_7^2(n) = -1 for 1 <= n < 49
+    assert mean_value_coefficient(lambda n: 1.0, 7, 2, 47) == -47.0 / 47 / jordan_totient(7, 2)
+
+    def no_sieve(*args):
+        raise AssertionError("mean-value row sieved past the cell budget")
+
+    monkeypatch.setattr(cr_sum, "_stride_sieve", no_sieve)
+    with pytest.raises(ResourceLimitError):
+        mean_value_coefficient(lambda n: 1.0, 7, 2, 100)
 
 
 def test_is_period_exact():
