@@ -47,8 +47,6 @@ from .asymptotics import (
     CorrelationReport,
     HDecomposition,
     LemmaCheckReport,
-    LemmaGridPoint,
-    build_lemma_grid,
     correlation_sum,
     corollary_lhs,
     corollary_main,

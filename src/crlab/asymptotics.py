@@ -10,7 +10,6 @@ with real exponents, and report serialization.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -38,8 +37,8 @@ from .expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4")
 
-# Largest lemma grid, in points. Each point becomes a grid point, a report
-# entry and a line of output, several hundred bytes in all.
+# Largest lemma grid, in points. Each point becomes a report entry and a
+# line of output, several hundred bytes in all.
 MAX_LEMMA_POINTS = 1_000_000
 
 
@@ -246,7 +245,11 @@ class CorrelationConfig:
             _check_corollary_exponents(self.a, self.b)
             if self.h < 1:
                 raise ValueError("corollary runs need h >= 1")
+            if self.k is not None or self.r_truncation is not None:
+                raise ValueError("corollary runs take no k or R")
         else:
+            if self.a is not None or self.b is not None:
+                raise ValueError("t1/t2 runs take no a or b")
             if self.s != 1:
                 raise ValueError("t1/t2 runs use the s = 1 sigma family")
             if self.k is None or self.k < 1:
@@ -364,15 +367,6 @@ def run_correlation_report(config: CorrelationConfig) -> CorrelationReport:
 
 
 @dataclass(frozen=True)
-class LemmaGridPoint:
-    r: int
-    k: int
-    s: int
-    h: int
-    n_limit: int
-
-
-@dataclass(frozen=True)
 class LemmaEntry:
     r: int
     k: int
@@ -423,120 +417,82 @@ class LemmaCheckReport:
         return "\n".join(lines) + "\n"
 
 
-def build_lemma_grid(
+def lemma_check(
+    lemma_id: str,
     r_values: Iterable[int],
     k_values: Iterable[int],
-    s_values: Iterable[int],
-    h_values: Iterable[int],
+    s: int,
+    h: int,
     n_values: Iterable[int],
-) -> list[LemmaGridPoint]:
-    """Cartesian grid of lemma check points in deterministic order.
+) -> LemmaCheckReport:
+    """Check one product-sum lemma on the grid r_values x k_values x n_values at one (s, h).
 
-    Grids beyond MAX_LEMMA_POINTS are rejected before any point is built.
-    """
-    axes = [tuple(values) for values in (r_values, k_values, s_values, h_values, n_values)]
-    count = math.prod(len(values) for values in axes)
-    if count > MAX_LEMMA_POINTS:
-        raise ResourceLimitError(f"lemma grid of {count} points exceeds {MAX_LEMMA_POINTS}")
-    rs, ks, ss, hs, ns = axes
-    return [
-        LemmaGridPoint(r=r, k=k, s=s, h=h, n_limit=n)
-        for s in ss
-        for r in rs
-        for k in ks
-        for h in hs
-        for n in ns
-    ]
+    Entries run r, then k, then N, each in the order given.
+    L1: sum c_r(n) c_k(n) <= N tau_s(r**s) tau_s(k**s) (r**s, k**s)_s, no shift.
+    L2: deviation of the shifted sum from delta_{r,k} N c_r^s(h), normalized
+        by r**s k**s ln(r**s k**s); reported, never asserted (the pair
+        r = k = 1 is skipped, the log scale vanishes there).
+    L3: |shifted sum| <= sqrt(N) sqrt(N+h) sqrt(r**s k**s) tau_s(r**s) tau_s(k**s).
+    L4: shifted sum <= 2 N Phi_s(r**s) tau(k), requiring h <= N.
 
-
-def _lemma_product_sums(grid: Sequence[LemmaGridPoint]) -> dict[LemmaGridPoint, int]:
-    """sum_{n=1}^{N} c_r^s(n) c_k^s(n + h) for every grid point, exactly.
-
-    One sieve per s holds the rows of the r and k that occur. Per (s, h),
-    with A the distinct r rows and B the distinct k rows, all sums up to N
-    are A[:, 1:N+1] @ B[:, 1+h:N+h+1].T, added block by block between
+    Grids beyond MAX_LEMMA_POINTS are rejected before anything is sieved.
+    One sieve holds the rows of the r and k values; with A the r rows and B
+    the k rows, every sum_{n<=N} c_r^s(n) c_k^s(n + h) up to N is an entry of
+    A[:, 1:N+1] @ B[:, 1+h:N+h+1].T, added block by block between
     consecutive N. |c_r^s| <= J_s(r) <= r**s bounds every partial sum by
     N r**s k**s, which picks int64 or exact Python ints.
     """
-    by_s: dict[int, list[LemmaGridPoint]] = defaultdict(list)
-    for p in grid:
-        by_s[p.s].append(p)
-    sums: dict[LemmaGridPoint, int] = {}
-    for s, pts in by_s.items():
-        r_values = sorted({p.r for p in pts} | {p.k for p in pts})
-        rows = _sieve_rows(r_values, max(p.n_limit + p.h for p in pts), s)
-        row_of = {r: i for i, r in enumerate(r_values)}
-        by_h: dict[int, list[LemmaGridPoint]] = defaultdict(list)
-        for p in pts:
-            by_h[p.h].append(p)
-        for h, group in by_h.items():
-            rs = sorted({p.r for p in group})
-            ks = sorted({p.k for p in group})
-            a = rows[[row_of[r] for r in rs]]
-            b = rows[[row_of[k] for k in ks]]
-            n_values = sorted({p.n_limit for p in group})
-            bound = n_values[-1] * rs[-1] ** s * ks[-1] ** s
-            i_r = {r: i for i, r in enumerate(rs)}
-            i_k = {k: i for i, k in enumerate(ks)}
-            total, prev = 0, 0
-            at_n = {}
-            for n in n_values:
-                block_a = a[:, prev + 1 : n + 1]
-                block_b = b[:, prev + 1 + h : n + h + 1]
-                total = total + _exact_matmul(block_a, block_b.T, bound)
-                at_n[n] = total.tolist()
-                prev = n
-            for p in group:
-                sums[p] = at_n[p.n_limit][i_r[p.r]][i_k[p.k]]
-    return sums
-
-
-def lemma_check(lemma_id: str, points: Iterable[LemmaGridPoint]) -> LemmaCheckReport:
-    """Check one product-sum lemma over a grid.
-
-    L1: sum c_r(n) c_k(n) <= N tau_s(r**s) tau_s(k**s) (r**s, k**s)_s, no shift.
-    L2: deviation of the shifted sum from delta_{r,k} N c_r^s(h), normalized
-        by r**s k**s ln(r**s k**s); reported, never asserted (points with
-        r = k = 1 are excluded, the log scale vanishes there).
-    L3: |shifted sum| <= sqrt(N) sqrt(N+h) sqrt(r**s k**s) tau_s(r**s) tau_s(k**s).
-    L4: shifted sum <= 2 N Phi_s(r**s) tau(k), requiring h <= N.
-    """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"lemma_id must be one of {LEMMA_IDS}, got {lemma_id!r}")
-    grid = list(points)
-    if lemma_id == "L2":
-        grid = [p for p in grid if p.r**p.s * p.k**p.s > 1]
-    if not grid:
+    r_values, k_values, n_values = tuple(r_values), tuple(k_values), tuple(n_values)
+    count = len(r_values) * len(k_values) * len(n_values)
+    if count > MAX_LEMMA_POINTS:
+        raise ResourceLimitError(f"lemma grid of {count} points exceeds {MAX_LEMMA_POINTS}")
+    # L2 skips r**s k**s = 1, so a grid holding only r = k = 1 is empty.
+    skip_unit = lemma_id == "L2"
+    if count == 0 or (skip_unit and max(r_values) ** s * max(k_values) ** s <= 1):
         raise ValueError("lemma grid is empty")
-    for p in grid:
-        if p.r < 1 or p.k < 1:
-            raise ValueError("grid r and k must be >= 1")
-        check_exponent(p.s)
-        if p.n_limit < 1:
-            raise ValueError("grid N must be >= 1")
-        if p.h < 0:
-            raise ValueError("grid h must be >= 0")
-        if lemma_id == "L1" and p.h != 0:
-            raise ValueError("L1 has no shift; grid points must have h = 0")
-        if lemma_id == "L4" and p.h > p.n_limit:
-            raise ValueError(f"L4 requires h <= N, got h={p.h}, N={p.n_limit}")
+    if min(r_values) < 1 or min(k_values) < 1:
+        raise ValueError("grid r and k must be >= 1")
+    check_exponent(s)
+    if min(n_values) < 1:
+        raise ValueError("grid N must be >= 1")
+    if h < 0:
+        raise ValueError("grid h must be >= 0")
+    if lemma_id == "L1" and h != 0:
+        raise ValueError("L1 has no shift; grid points must have h = 0")
+    if lemma_id == "L4" and h > min(n_values):
+        first = next(n for n in n_values if n < h)
+        raise ValueError(f"L4 requires h <= N, got h={h}, N={first}")
 
-    sums = _lemma_product_sums(grid)
+    values = sorted({*r_values, *k_values})
+    row_of = {v: i for i, v in enumerate(values)}
+    rows = _sieve_rows(values, max(n_values) + h, s)
+    a = rows[[row_of[r] for r in r_values]]
+    b = rows[[row_of[k] for k in k_values]]
+    bound = max(n_values) * max(r_values) ** s * max(k_values) ** s
+    sums, total, prev = {}, 0, 0
+    for n in sorted(set(n_values)):
+        block_a, block_b = a[:, prev + 1 : n + 1], b[:, prev + 1 + h : n + h + 1]
+        total = total + _exact_matmul(block_a, block_b.T, bound)
+        sums[n] = total.tolist()
+        prev = n
 
-    def check_point(p: LemmaGridPoint) -> LemmaEntry:
-        total = sums[p]
-        rs = p.r**p.s
-        ks = p.k**p.s
-        # tau_s(r**s, s) = tau(r) and (r**s, k**s)_s = gcd(r, k)**s: the L1 and
-        # L3 bounds never factorize r**s, which may pass the factorize limit.
+    # tau_s(r**s, s) = tau(r) and (r**s, k**s)_s = gcd(r, k)**s: the L1 and
+    # L3 bounds never factorize r**s, which may pass the factorize limit.
+    tau = {v: tau_s(v, 1) for v in values}
+
+    def check_point(r: int, k: int, n: int, total: int) -> LemmaEntry:
+        rs = r**s
+        ks = k**s
         if lemma_id == "L1":
-            bound = p.n_limit * tau_s(p.r, 1) * tau_s(p.k, 1) * math.gcd(p.r, p.k) ** p.s
+            bound = n * tau[r] * tau[k] * math.gcd(r, k) ** s
             measured = float(total)
             passed = total <= bound
             normalized = measured / bound
             bound_f = float(bound)
         elif lemma_id == "L2":
-            main = p.n_limit * cr_sum_exact(p.r, p.h, p.s) if p.r == p.k else 0
+            main = n * cr_sum_exact(r, h, s) if r == k else 0
             deviation = abs(total - main)
             scale = rs * ks * math.log(rs * ks)
             measured = float(deviation)
@@ -544,35 +500,35 @@ def lemma_check(lemma_id: str, points: Iterable[LemmaGridPoint]) -> LemmaCheckRe
             normalized = deviation / scale
             passed = True
         elif lemma_id == "L3":
-            bound_f = (
-                math.sqrt(p.n_limit)
-                * math.sqrt(p.n_limit + p.h)
-                * math.sqrt(rs * ks)
-                * tau_s(p.r, 1)
-                * tau_s(p.k, 1)
-            )
+            bound_f = math.sqrt(n) * math.sqrt(n + h) * math.sqrt(rs * ks) * tau[r] * tau[k]
             measured = float(abs(total))
             passed = measured <= bound_f
             normalized = measured / bound_f
         else:  # L4
-            bound = 2 * p.n_limit * jordan_totient(p.r, p.s) * tau_s(p.k, 1)
+            bound = 2 * n * jordan_totient(r, s) * tau[k]
             measured = float(total)
             passed = total <= bound
             normalized = measured / bound
             bound_f = float(bound)
         return LemmaEntry(
-            r=p.r,
-            k=p.k,
-            s=p.s,
-            h=p.h,
-            n_limit=p.n_limit,
+            r=r,
+            k=k,
+            s=s,
+            h=h,
+            n_limit=n,
             measured=measured,
             bound=bound_f,
             normalized=normalized,
             passed=passed,
         )
 
-    entries = [check_point(p) for p in grid]
+    entries = [
+        check_point(r, k, n, sums[n][i][j])
+        for i, r in enumerate(r_values)
+        for j, k in enumerate(k_values)
+        if not (skip_unit and r == k == 1)
+        for n in n_values
+    ]
     return LemmaCheckReport(
         lemma_id=lemma_id,
         entries=tuple(entries),

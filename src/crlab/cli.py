@@ -113,6 +113,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _make_meanvalue_function(args: argparse.Namespace) -> Callable[[int], float]:
     """f(n) for n <= N, built once per run and shared by every r."""
     if args.method == "one":
+        if args.k is not None:
+            raise ValueError("meanvalue --method one takes no --k")
         return lambda n: 1.0
     if args.method == "crsum":
         q = args.k
@@ -130,6 +132,8 @@ def _make_meanvalue_function(args: argparse.Namespace) -> Callable[[int], float]
 def _cmd_meanvalue(args: argparse.Namespace) -> int:
     if args.out is not None and args.R is None:
         raise ValueError("meanvalue --out writes the r = 1..R coefficient CSV and needs --R")
+    if args.r is not None and args.R is not None:
+        raise ValueError("meanvalue takes --r (one coefficient) or --R (r = 1..R), not both")
     f = _make_meanvalue_function(args)
     if args.R is not None:
         family = expansion.ExpansionCoefficients(
@@ -145,8 +149,9 @@ def _cmd_meanvalue(args: argparse.Namespace) -> int:
         if args.out is not None:
             print(f"mean-value coefficients r=1..{args.R} (N={args.N}) -> {args.out}")
         return EXIT_OK
-    coef = expansion.mean_value_coefficient(f, args.r, args.s, args.N)
-    exact = expansion.is_period_exact(args.r, args.s, args.N)
+    r = 1 if args.r is None else args.r
+    coef = expansion.mean_value_coefficient(f, r, args.s, args.N)
+    exact = expansion.is_period_exact(r, args.s, args.N)
     note = "period-exact" if exact else "partial periods"
     print(f"{coef:.6g} ({note})")
     return EXIT_OK
@@ -188,14 +193,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _cmd_lemmas(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.N)
     lemma_id = f"L{args.which}"
-    grid = asymptotics.build_lemma_grid(
-        range(1, args.rmax + 1),
-        range(1, args.kmax + 1),
-        (args.s,),
-        (args.h,),
-        schedule,
+    report = asymptotics.lemma_check(
+        lemma_id, range(1, args.rmax + 1), range(1, args.kmax + 1), args.s, args.h, schedule
     )
-    report = asymptotics.lemma_check(lemma_id, grid)
     text = report.to_json_text() if args.format == "json" else report.to_csv_text()
     _write_output(args.out, text)
     if lemma_id == "L2":
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("meanvalue", help="finite mean-value coefficient extraction")
     p.add_argument("--method", choices=("one", "crsum", "sigma"), default="crsum")
     p.add_argument("--k", type=int, default=None, help="inner index q (crsum) or exponent k (sigma)")
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=int, default=None, help="one coefficient (default 1)")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--R", type=int, default=None, help="extract r = 1..R to CSV instead")

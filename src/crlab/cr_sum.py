@@ -261,12 +261,13 @@ def _period_gram(r: int, divs: Sequence[int], s: int) -> list[list[Fraction]]:
 
     The rows c_d^s(m), m = 0 .. r**s - 1, come from one stride sieve and the
     inner sums are their Gram matrix; by periodicity m = r**s stands in for
-    m = 0. Each |c_d^s| <= r**s, so every sum is below r**(3s). Every inner
-    sum is checked for exact divisibility by r**s.
+    m = 0. Every inner sum is checked for exact divisibility by r**s.
     """
     period = _check_period(r, s)
     rows = _sieve_rows(divs, period - 1, s)
-    gram = _exact_matmul(rows, rows.T, period**3).tolist()
+    # Over a full period sum_m c_d^s(m)**2 = r**s J_s(d) <= r**(2s), so by
+    # Cauchy-Schwarz every partial sum of c_d^s(m) c_t^s(m) is at most r**(2s).
+    gram = _exact_matmul(rows, rows.T, period**2).tolist()
     for d, sums in zip(divs, gram):
         for t, total in zip(divs, sums):
             if total % period != 0:

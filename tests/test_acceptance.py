@@ -10,7 +10,6 @@ import math
 import time
 
 from crlab.asymptotics import (
-    build_lemma_grid,
     corollary_lhs,
     corollary_main,
     lemma_check,
@@ -133,19 +132,20 @@ def test_c4_lemma_bounds():
     schedule = (100, 500, 2000)
     shifts = (0, 1, 5)
 
-    grid_l1 = build_lemma_grid(r_values, r_values, (1, 2), (0,), schedule)
-    ok_l1 = lemma_check("L1", grid_l1).all_pass
-
-    grid_shifted = build_lemma_grid(r_values, r_values, (1, 2), shifts, schedule)
-    ok_l3 = lemma_check("L3", grid_shifted).all_pass
-    ok_l4 = lemma_check("L4", grid_shifted).all_pass
+    # one lemma_check call per (s, h)
+    shapes = [(s, h) for s in (1, 2) for h in shifts]
+    ok_l1 = all(lemma_check("L1", r_values, r_values, s, 0, schedule).all_pass for s in (1, 2))
+    ok_l3 = all(lemma_check("L3", r_values, r_values, s, h, schedule).all_pass for s, h in shapes)
+    ok_l4 = all(lemma_check("L4", r_values, r_values, s, h, schedule).all_pass for s, h in shapes)
 
     # L2: the reported max normalized constant per N must be finite and,
     # beyond N = 500, non-increasing within a 2x slack band.
     max_by_n = {}
     for n_limit in schedule:
-        grid = build_lemma_grid(r_values, r_values, (1, 2), shifts, (n_limit,))
-        max_by_n[n_limit] = lemma_check("L2", grid).max_normalized
+        max_by_n[n_limit] = max(
+            lemma_check("L2", r_values, r_values, s, h, (n_limit,)).max_normalized
+            for s, h in shapes
+        )
     ok_l2_finite = all(math.isfinite(v) for v in max_by_n.values())
     ok_l2_trend = max_by_n[2000] <= 2.0 * max_by_n[500]
     elapsed = time.perf_counter() - start

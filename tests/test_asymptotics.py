@@ -1,6 +1,7 @@
 """Tests for correlation sums, main terms, the sigma-pair corollary, and
 the lemma bound grids."""
 
+import functools
 import json
 import math
 
@@ -14,10 +15,8 @@ from crlab import asymptotics
 from crlab.asymptotics import (
     MAX_SIGMA_LIMIT,
     CorrelationConfig,
-    LemmaGridPoint,
     _running_sums,
     _sigma_ratio_values,
-    build_lemma_grid,
     correlation_sum,
     corollary_lhs,
     corollary_main,
@@ -257,6 +256,10 @@ def test_config_validation():
         CorrelationConfig(kind="corollary", s=1, h=2, schedule=(10,))  # missing a, b
     with pytest.raises(ValueError):
         CorrelationConfig(kind="t2", s=2, h=1, schedule=(10,), k=1, r_truncation=10)
+    with pytest.raises(ValueError, match="no a or b"):
+        CorrelationConfig(kind="t2", s=1, h=1, schedule=(10,), a=2.0, k=1, r_truncation=10)
+    with pytest.raises(ValueError, match="no k or R"):
+        CorrelationConfig(kind="corollary", s=1, h=1, schedule=(10,), a=2.0, b=2.0, k=1)
 
 
 def test_run_correlation_report_records():
@@ -342,24 +345,24 @@ def test_report_determinism():
 
 
 def test_lemma1_equality_at_unit_point():
-    report = lemma_check("L1", [LemmaGridPoint(1, 1, 1, 0, 50)])
+    report = lemma_check("L1", (1,), (1,), 1, 0, (50,))
     entry = report.entries[0]
     assert entry.measured == entry.bound == 50.0
     assert report.all_pass and report.max_normalized == 1.0
 
 
 def test_lemma1_example_bound():
-    report = lemma_check("L1", [LemmaGridPoint(2, 2, 1, 0, 100)])
+    report = lemma_check("L1", (2,), (2,), 1, 0, (100,))
     assert report.entries[0].bound == 800.0
     assert report.entries[0].measured <= 800.0
 
 
 def test_lemma2_diagonal_structure():
     # at r = k the main term is N * c_r^s(h); the deviation stays bounded
-    pts = [LemmaGridPoint(r, r, 1, 0, n) for r in (2, 3, 6) for n in (100, 500)]
-    report = lemma_check("L2", pts)
+    entries = [e for r in (2, 3, 6) for e in lemma_check("L2", (r,), (r,), 1, 0, (100, 500)).entries]
+    assert [(e.r, e.n_limit) for e in entries] == [(r, n) for r in (2, 3, 6) for n in (100, 500)]
     table = build_table(6, 500, 1)
-    for entry in report.entries:
+    for entry in entries:
         row = table.row(entry.r)
         total = sum(row[n] * row[n] for n in range(1, entry.n_limit + 1))
         main = entry.n_limit * cr_sum_exact(entry.r, 0, 1)
@@ -368,16 +371,16 @@ def test_lemma2_diagonal_structure():
 
 
 def test_lemma2_filters_unit_point():
-    report = lemma_check("L2", [LemmaGridPoint(1, 1, 1, 0, 100), LemmaGridPoint(2, 1, 1, 0, 100)])
+    report = lemma_check("L2", (1, 2), (1,), 1, 0, (100,))
     assert len(report.entries) == 1
     assert (report.entries[0].r, report.entries[0].k) == (2, 1)
     with pytest.raises(ValueError):
-        lemma_check("L2", [LemmaGridPoint(1, 1, 1, 0, 100)])
+        lemma_check("L2", (1,), (1,), 1, 0, (100,))
 
 
 def test_lemma4_r1_bound():
     # with r = 1 the left side is sum of c_k^s(n+h) and the bound is 2N tau(k)
-    report = lemma_check("L4", [LemmaGridPoint(1, 6, 1, 3, 100)])
+    report = lemma_check("L4", (1,), (6,), 1, 3, (100,))
     entry = report.entries[0]
     assert entry.bound == 2 * 100 * 4  # tau(6) = 4
     assert entry.passed
@@ -385,27 +388,28 @@ def test_lemma4_r1_bound():
 
 def test_lemma_preconditions():
     with pytest.raises(ValueError):
-        lemma_check("L5", [LemmaGridPoint(1, 1, 1, 0, 10)])
+        lemma_check("L5", (1,), (1,), 1, 0, (10,))
     with pytest.raises(ValueError):
-        lemma_check("L1", [])
+        lemma_check("L1", (), (1,), 1, 0, (10,))
     with pytest.raises(ValueError):
-        lemma_check("L1", [LemmaGridPoint(2, 2, 1, 1, 10)])  # L1 has no shift
+        lemma_check("L1", (2,), (2,), 1, 1, (10,))  # L1 has no shift
     with pytest.raises(ValueError):
-        lemma_check("L4", [LemmaGridPoint(2, 2, 1, 20, 10)])  # h > N
+        lemma_check("L4", (2,), (2,), 1, 20, (10,))  # h > N
 
 
 def test_lemma_bounds_small_grid_all_lemmas():
-    grid0 = build_lemma_grid(range(1, 7), range(1, 7), (1, 2), (0,), (50, 200))
-    grid_h = build_lemma_grid(range(1, 7), range(1, 7), (1, 2), (0, 2), (50, 200))
-    assert lemma_check("L1", grid0).all_pass
-    assert lemma_check("L3", grid_h).all_pass
-    assert lemma_check("L4", grid_h).all_pass
-    rep2 = lemma_check("L2", grid_h)
-    assert math.isfinite(rep2.max_normalized)
+    r_values = range(1, 7)
+    for s in (1, 2):
+        assert lemma_check("L1", r_values, r_values, s, 0, (50, 200)).all_pass
+        for h in (0, 2):
+            assert lemma_check("L3", r_values, r_values, s, h, (50, 200)).all_pass
+            assert lemma_check("L4", r_values, r_values, s, h, (50, 200)).all_pass
+            rep2 = lemma_check("L2", r_values, r_values, s, h, (50, 200))
+            assert math.isfinite(rep2.max_normalized)
 
 
 def test_lemma_report_serialization():
-    report = lemma_check("L3", [LemmaGridPoint(2, 3, 1, 1, 100)])
+    report = lemma_check("L3", (2,), (3,), 1, 1, (100,))
     parsed = json.loads(report.to_json_text())
     assert parsed["lemma"] == "L3"
     assert parsed["grid"][0]["r"] == 2
@@ -418,81 +422,79 @@ def test_lemma_report_serialization():
 
 def _exact_product_sum(r: int, k: int, s: int, h: int, n_limit: int) -> int:
     # oracle: per-n divisor sums from cr_sum_exact, no sieve and no matrix
-    return sum(cr_sum_exact(r, n, s) * cr_sum_exact(k, n + h, s) for n in range(1, n_limit + 1))
+    return sum(_c(r, n, s) * _c(k, n + h, s) for n in range(1, n_limit + 1))
 
 
-def _expected_measured(lemma_id: str, p: LemmaGridPoint) -> float:
-    total = _exact_product_sum(p.r, p.k, p.s, p.h, p.n_limit)
+@functools.lru_cache(maxsize=None)
+def _c(r: int, n: int, s: int) -> int:
+    return cr_sum_exact(r, n, s)
+
+
+def _expected_measured(lemma_id: str, r: int, k: int, s: int, h: int, n_limit: int) -> float:
+    total = _exact_product_sum(r, k, s, h, n_limit)
     if lemma_id == "L2":
-        main = p.n_limit * cr_sum_exact(p.r, p.h, p.s) if p.r == p.k else 0
+        main = n_limit * cr_sum_exact(r, h, s) if r == k else 0
         return float(abs(total - main))
     if lemma_id == "L3":
         return float(abs(total))
     return float(total)
 
 
-def _assert_measured_matches_oracle(lemma_id: str, points: list[LemmaGridPoint]) -> None:
-    report = lemma_check(lemma_id, points)
-    kept = [p for p in points if lemma_id != "L2" or p.r**p.s * p.k**p.s > 1]
-    assert [(e.r, e.k, e.s, e.h, e.n_limit) for e in report.entries] == [
-        (p.r, p.k, p.s, p.h, p.n_limit) for p in kept
+def _assert_measured_matches_oracle(lemma_id, r_values, k_values, s, h, n_values) -> None:
+    report = lemma_check(lemma_id, r_values, k_values, s, h, n_values)
+    kept = [
+        (r, k, s, h, n)
+        for r in r_values
+        for k in k_values
+        if lemma_id != "L2" or r**s * k**s > 1
+        for n in n_values
     ]
-    for e, p in zip(report.entries, kept):
-        assert e.measured == _expected_measured(lemma_id, p)
+    assert [(e.r, e.k, e.s, e.h, e.n_limit) for e in report.entries] == kept
+    for e, point in zip(report.entries, kept):
+        assert e.measured == _expected_measured(lemma_id, *point)
 
 
 @st.composite
-def _lemma_points(draw):
+def _lemma_grids(draw):
     lemma_id = draw(st.sampled_from(asymptotics.LEMMA_IDS))
-    # a few (s, h) shapes shared by several points, so sums are built
-    # block by block across more than one N of the same shape
+    # one call per (s, h); each axis unsorted and possibly repeated, so sums
+    # are built block by block across several N of the same shape
     max_h = 0 if lemma_id == "L1" else 9
-    shape = st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=max_h))
-    shapes = draw(st.lists(shape, min_size=1, max_size=3))
-    points = []
-    for _ in range(draw(st.integers(min_value=1, max_value=8))):
-        s, h = draw(st.sampled_from(shapes))
-        points.append(
-            LemmaGridPoint(
-                r=draw(st.integers(min_value=1, max_value=40)),
-                k=draw(st.integers(min_value=1, max_value=40)),
-                s=s,
-                h=h,
-                n_limit=draw(st.integers(min_value=max(h, 1), max_value=240)),
-            )
-        )
-    if lemma_id == "L2" and all(p.r == p.k == 1 for p in points):
-        points.append(LemmaGridPoint(2, 1, 1, 0, 10))
-    return lemma_id, points
+    grids = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        s = draw(st.integers(min_value=1, max_value=3))
+        h = draw(st.integers(min_value=0, max_value=max_h))
+        axis = st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3)
+        r_values, k_values = draw(axis), draw(axis)
+        if lemma_id == "L2" and set(r_values) == set(k_values) == {1}:
+            r_values.append(2)
+        n_axis = st.lists(st.integers(min_value=max(h, 1), max_value=240), min_size=1, max_size=3)
+        grids.append((r_values, k_values, s, h, draw(n_axis)))
+    return lemma_id, grids
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_lemma_points())
+@given(case=_lemma_grids())
 def test_lemma_measured_matches_exact_oracle(case):
-    # sparse, non-Cartesian points with mixed s and h, in any N order
-    lemma_id, points = case
-    _assert_measured_matches_oracle(lemma_id, points)
+    # small r x k x N grids at mixed s and h, in any N order
+    lemma_id, grids = case
+    for grid in grids:
+        _assert_measured_matches_oracle(lemma_id, *grid)
 
 
 def test_lemma_measured_repeated_unsorted_points():
-    points = [
-        LemmaGridPoint(12, 7, 2, 3, 90),
-        LemmaGridPoint(6, 5, 1, 3, 90),
-        LemmaGridPoint(1, 30, 1, 0, 5),
-        LemmaGridPoint(12, 7, 2, 3, 17),
-        LemmaGridPoint(6, 5, 1, 3, 17),
-        LemmaGridPoint(12, 7, 2, 3, 90),
-        LemmaGridPoint(30, 30, 1, 4, 60),
-        LemmaGridPoint(7, 12, 2, 0, 90),
-        LemmaGridPoint(6, 5, 1, 3, 40),
-    ]
-    for lemma_id in ("L2", "L3", "L4"):
-        _assert_measured_matches_oracle(lemma_id, points)
-    _assert_measured_matches_oracle("L1", [p for p in points if p.h == 0])
+    r_values = (12, 6, 1, 12, 30)
+    k_values = (7, 5, 30, 7, 12)
+    n_values = (90, 17, 60, 90, 5)
+    for s, h in ((2, 3), (1, 3), (1, 4), (2, 0), (1, 0)):
+        for lemma_id in ("L2", "L3", "L4"):
+            _assert_measured_matches_oracle(lemma_id, r_values, k_values, s, h, n_values)
+        if h == 0:
+            _assert_measured_matches_oracle("L1", r_values, k_values, s, h, n_values)
 
 
 def test_lemma_sums_fall_back_to_python_ints_past_int64(monkeypatch):
-    # N * 30**5 * 29**5 > 2**63 although every c value fits the int64 grid
+    # N * 30**5 * 30**5 > 2**63 although every c value fits the int64 grid
     calls = []
     exact_matmul = asymptotics._exact_matmul
 
@@ -502,8 +504,8 @@ def test_lemma_sums_fall_back_to_python_ints_past_int64(monkeypatch):
         return product
 
     monkeypatch.setattr(asymptotics, "_exact_matmul", spy)
-    points = [LemmaGridPoint(30, 29, 5, 1, 20_000), LemmaGridPoint(28, 30, 5, 1, 7)]
-    _assert_measured_matches_oracle("L3", points)
+    # the largest r, k and N come last, so a bound taken from the first ones fails
+    _assert_measured_matches_oracle("L3", (28, 30), (29, 30), 5, 1, (7, 20_000))
     assert calls
     for a, b, bound, product in calls:
         assert a == b == np.int64 and bound >= 2**63 and product == object
@@ -511,14 +513,14 @@ def test_lemma_sums_fall_back_to_python_ints_past_int64(monkeypatch):
 
 def test_lemma_grid_point_budget(monkeypatch):
     monkeypatch.setattr(asymptotics, "MAX_LEMMA_POINTS", 12)
-    assert len(build_lemma_grid(range(1, 4), range(1, 3), (1,), (0, 1), (5,))) == 12
+    assert len(lemma_check("L3", range(1, 4), range(1, 3), 1, 0, (5, 6)).entries) == 12
 
-    def no_points(*args, **kwargs):
-        raise AssertionError("grid point built for an over-budget grid")
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows sieved for an over-budget grid")
 
-    monkeypatch.setattr(asymptotics, "LemmaGridPoint", no_points)
+    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
     with pytest.raises(ResourceLimitError):
-        build_lemma_grid(range(1, 4), range(1, 3), (1,), (0, 1), (5, 6))
+        lemma_check("L3", range(1, 4), range(1, 3), 1, 0, (5, 6, 7))
 
 
 def _sympy_tau_power(m: int, s: int) -> int:
@@ -538,12 +540,11 @@ def test_lemma_bounds_past_factorize_limit():
     # 39**12 and 40**12 are past 2**63 - 1, where factorize stops
     s = 12
     assert 39**s > 2**63
-    l1_points = build_lemma_grid((39, 40), (39, 40), (s,), (0,), (10, 20))
-    l3_points = build_lemma_grid((39, 40), (39, 40), (s,), (0, 3), (10, 20))
-    l1 = lemma_check("L1", l1_points)
-    l3 = lemma_check("L3", l3_points)
-    assert l1.all_pass and l3.all_pass
-    for lemma_id, report in (("L1", l1), ("L3", l3)):
+    axes = ((39, 40), (39, 40))
+    l1 = lemma_check("L1", *axes, s, 0, (10, 20))
+    l3 = [lemma_check("L3", *axes, s, h, (10, 20)) for h in (0, 3)]
+    assert l1.all_pass and all(report.all_pass for report in l3)
+    for lemma_id, report in [("L1", l1)] + [("L3", report) for report in l3]:
         for e in report.entries:
             rs, ks = e.r**s, e.k**s
             tau_r, tau_k = _sympy_tau_power(rs, s), _sympy_tau_power(ks, s)
@@ -554,5 +555,6 @@ def test_lemma_bounds_past_factorize_limit():
                 n, h = e.n_limit, e.h
                 expected = math.sqrt(n) * math.sqrt(n + h) * math.sqrt(rs * ks) * tau_r * tau_k
             assert e.bound == expected, (lemma_id, e)
-    _assert_measured_matches_oracle("L1", l1_points)
-    _assert_measured_matches_oracle("L3", l3_points)
+    _assert_measured_matches_oracle("L1", *axes, s, 0, (10, 20))
+    for h in (0, 3):
+        _assert_measured_matches_oracle("L3", *axes, s, h, (10, 20))

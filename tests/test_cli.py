@@ -299,6 +299,35 @@ def test_correlate_rejects_unsorted_schedule(capsys):
     assert "ascending" in err
 
 
+CORRELATE = ("correlate", "--s", "1", "--N", "10")
+MEANVALUE_ONE = ("meanvalue", "--method", "one", "--s", "1", "--N", "12")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (CORRELATE + ("--method", "t1", "--k", "1", "--R", "5", "--a", "2"), "no a or b"),
+        (CORRELATE + ("--method", "t2", "--k", "1", "--R", "5", "--h", "1", "--b", "2"), "no a or b"),
+        (CORRELATE + ("--a", "2", "--b", "2", "--h", "1", "--k", "1"), "no k or R"),
+        (CORRELATE + ("--a", "2", "--b", "2", "--h", "1", "--R", "5"), "no k or R"),
+        (MEANVALUE_ONE + ("--k", "3"), "no --k"),
+        (MEANVALUE_ONE + ("--r", "2", "--R", "3"), "not both"),
+    ],
+    ids=["t1-a", "t2-b", "corollary-k", "corollary-R", "one-k", "r-and-R"],
+)
+def test_ignored_flags_are_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert message in err
+    assert out == ""
+
+
+def test_meanvalue_r_defaults_to_one(capsys):
+    code, out, _ = run_cli(capsys, *MEANVALUE_ONE)
+    assert code == EXIT_OK
+    assert out == "1 (period-exact)\n"
+
+
 # --- lemmas ------------------------------------------------------------------
 
 
@@ -348,10 +377,10 @@ def test_lemmas_l1_rejects_shift(capsys):
 
 def test_lemmas_over_point_budget_exits_before_building(capsys, monkeypatch):
     # 10**8 points on a table of only 2 * 10**4 cells
-    def no_points(*args, **kwargs):
-        raise AssertionError("grid point built for an over-budget grid")
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows sieved for an over-budget grid")
 
-    monkeypatch.setattr(asymptotics, "LemmaGridPoint", no_points)
+    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
     code, out, err = run_cli(
         capsys, "lemmas", "--which", "3", "--rmax", "10000", "--kmax", "10000", "--s", "1",
         "--N", "1",

@@ -8,6 +8,7 @@ asserted directly, derived cases against brute-force oracles written here
 import math
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,3 +329,45 @@ def test_gcd_s_divides_both(m, n, s):
         assert m % g == 0
     if n:
         assert n % g == 0
+
+
+# --- independent oracles (sympy) ---------------------------------------------
+
+# small n cover every shape often; up to 10**10 trial division stays fast
+_ORACLE_N = st.one_of(
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=1, max_value=10**10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORACLE_N)
+def test_factorize_matches_sympy_factorint(n):
+    assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORACLE_N)
+def test_mobius_matches_sympy(n):
+    assert mobius(n) == int(sympy.mobius(n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=1500))
+def test_mobius_range_matches_sympy(limit):
+    mu = mobius_range(limit)
+    assert len(mu) == limit + 1
+    assert mu[1:] == [int(sympy.mobius(n)) for n in range(1, limit + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORACLE_N)
+def test_divisors_and_tau_match_sympy(n):
+    assert divisors(n) == sympy.divisors(n)
+    assert tau_s(n, 1) == sympy.divisor_count(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORACLE_N)
+def test_jordan_totient_order_one_matches_sympy_totient(n):
+    assert jordan_totient(n, 1) == sympy.totient(n)

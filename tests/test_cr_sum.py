@@ -207,6 +207,21 @@ def test_orthogonality_object_dtype_path(monkeypatch):
     assert all(type(v) is int for p in products for v in p.flat)
 
 
+def test_orthogonality_multiplies_in_int64_below_the_cauchy_schwarz_bound(monkeypatch):
+    # 144**6 < 2**63 <= 144**9: partial sums are capped at r**(2s), not r**(3s)
+    dtypes = []
+    exact_matmul = cr_sum._exact_matmul
+
+    def spy(a, b, bound):
+        product = exact_matmul(a, b, bound)
+        dtypes.append((a.dtype, b.dtype, product.dtype))
+        return product
+
+    monkeypatch.setattr(cr_sum, "_exact_matmul", spy)
+    assert orthogonality_value(144, 72, 72, 3) == jordan_totient(72, 3) == 314496
+    assert dtypes == [(np.int64, np.int64, np.int64)]
+
+
 def test_orthogonality_rejects_indivisible_sums(monkeypatch):
     # one corrupted cell, c_1(1) = 2, makes the (1, 1) sum r**s + 3
     stride_sieve = cr_sum._stride_sieve
