@@ -1,8 +1,18 @@
-"""crlab: exact Cohen-Ramanujan sum arithmetic and verification harness."""
+"""crlab: exact Cohen-Ramanujan sum arithmetic and verification harness.
+
+Only the numpy-free core_arith layer is imported with the package. The
+public names of cr_sum, expansion and asymptotics resolve on first access
+(PEP 562), so `import crlab.cli` does not load numpy.
+"""
+
+import importlib
 
 from .core_arith import (
     FACTORIZE_LIMIT,
     Factorization,
+    HDecomposition,
+    ResourceLimitError,
+    decompose_h,
     divisors,
     factorize,
     gcd_s,
@@ -18,44 +28,59 @@ from .core_arith import (
     tau_s,
     zeta,
 )
-from .cr_sum import (
-    CRSumTable,
-    ResourceLimitError,
-    build_table,
-    cr_sum_exact,
-    cr_sum_exponential,
-    cr_values_fixed_n,
-    orthogonality_grid,
-    orthogonality_value,
-    power_free_absorption_check,
-    ramanujan_sum_oracle,
-)
-from .expansion import (
-    ExpansionCoefficients,
-    as_plain_n,
-    coefficients_from_csv_text,
-    coefficients_to_csv_text,
-    evaluate,
-    is_period_exact,
-    mean_value_coefficient,
-    shift_coefficients,
-    sigma_expansion,
-    tau_weighted_norm,
-)
-from .asymptotics import (
-    CorrelationConfig,
-    CorrelationReport,
-    HDecomposition,
-    LemmaCheckReport,
-    correlation_sum,
-    corollary_lhs,
-    corollary_main,
-    decompose_h,
-    lemma_check,
-    run_correlation_report,
-    sigma_power_array,
-    theorem1_main,
-    theorem2_main,
-)
+
+# Public names of the numpy-backed modules, by home module.
+_LAZY_EXPORTS = {
+    "cr_sum": (
+        "CRSumTable",
+        "build_table",
+        "cr_sum_exact",
+        "cr_sum_exponential",
+        "cr_values_fixed_n",
+        "orthogonality_grid",
+        "orthogonality_value",
+        "power_free_absorption_check",
+        "ramanujan_sum_oracle",
+    ),
+    "expansion": (
+        "ExpansionCoefficients",
+        "as_plain_n",
+        "coefficients_from_csv_text",
+        "coefficients_to_csv_text",
+        "evaluate",
+        "is_period_exact",
+        "mean_value_coefficient",
+        "shift_coefficients",
+        "sigma_expansion",
+        "tau_weighted_norm",
+    ),
+    "asymptotics": (
+        "CorrelationConfig",
+        "CorrelationReport",
+        "LemmaCheckReport",
+        "correlation_sum",
+        "corollary_lhs",
+        "corollary_main",
+        "lemma_check",
+        "run_correlation_report",
+        "sigma_power_array",
+        "theorem1_main",
+        "theorem2_main",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Submodule names are not in _HOME: their AttributeError lets
+    # `from crlab import asymptotics` fall back to importing the submodule.
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -15,9 +15,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core_arith import (
+from .core_arith import (  # HDecomposition and decompose_h are re-exported
+    HDecomposition,
+    ResourceLimitError,
     check_exponent,
-    factorize,
+    decompose_h,
     jordan_totient,
     sigma_real,
     tau_s,
@@ -25,7 +27,6 @@ from .core_arith import (
 )
 from .cr_sum import (
     MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
-    ResourceLimitError,
     _divisor_power_sieve,
     _exact_matmul,
     _power_row,
@@ -111,30 +112,8 @@ def theorem2_main(
 
 
 # ---------------------------------------------------------------------------
-# The shift decomposition h = m**s * k and the sigma-pair corollary
+# The sigma-pair corollary (the split h = m**s * k is core_arith.decompose_h)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HDecomposition:
-    """h = m**s * k with k s-th power free and m maximal."""
-
-    h: int
-    m: int
-    k: int
-
-
-def decompose_h(h: int, s: int) -> HDecomposition:
-    """Split h into its maximal s-th power part m**s and power-free part k."""
-    check_exponent(s)
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    m = 1
-    k = 1
-    for p, e in factorize(h).factors:
-        m *= p ** (e // s)
-        k *= p ** (e % s)
-    return HDecomposition(h=h, m=m, k=k)
 
 
 def _check_corollary_exponents(a: float, b: float) -> None:

@@ -4,6 +4,10 @@ Every subcommand is deterministic: identical flags produce byte-identical
 files. Exit codes: 0 success, 1 failed numeric assertion, 2 usage or
 parameter validation error, 3 output I/O error, 4 declared resource budget
 exceeded.
+
+Only the numpy-free core_arith is imported here at module level; each
+handler imports the modules it uses, so `--help` and `decompose` start
+without numpy.
 """
 
 from __future__ import annotations
@@ -12,9 +16,7 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
-from . import asymptotics, cr_sum, expansion
-from .core_arith import jordan_totient
-from .cr_sum import ResourceLimitError
+from .core_arith import ResourceLimitError, decompose_h, jordan_totient
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -45,6 +47,8 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _cmd_crsum(args: argparse.Namespace) -> int:
+    from . import cr_sum
+
     if args.method in ("exact", "both"):
         exact = cr_sum.cr_sum_exact(args.r, args.n, args.s)
     if args.method in ("exponential", "both"):
@@ -62,6 +66,8 @@ def _cmd_crsum(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from . import cr_sum
+
     table = cr_sum.build_table(args.r, args.n, args.s)
     if args.out is None:
         sys.stdout.flush()
@@ -79,6 +85,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_orthogonality(args: argparse.Namespace) -> int:
+    from . import cr_sum
+
     grid = cr_sum.orthogonality_grid(args.r, args.s)
     lines = ["d,t,value"]
     failures = 0
@@ -98,6 +106,8 @@ def _cmd_orthogonality(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
+    from . import expansion
+
     family = expansion.sigma_expansion(args.k, args.s, args.R)
     _write_output(args.out, expansion.coefficients_to_csv_text(family))
     norm = expansion.tau_weighted_norm(family)
@@ -112,6 +122,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _make_meanvalue_function(args: argparse.Namespace) -> Callable[[int], float]:
     """f(n) for n <= N, built once per run and shared by every r."""
+    from . import asymptotics, cr_sum
+
     if args.method == "one":
         if args.k is not None:
             raise ValueError("meanvalue --method one takes no --k")
@@ -130,6 +142,8 @@ def _make_meanvalue_function(args: argparse.Namespace) -> Callable[[int], float]
 
 
 def _cmd_meanvalue(args: argparse.Namespace) -> int:
+    from . import expansion
+
     if args.out is not None and args.R is None:
         raise ValueError("meanvalue --out writes the r = 1..R coefficient CSV and needs --R")
     if args.r is not None and args.R is not None:
@@ -158,6 +172,8 @@ def _cmd_meanvalue(args: argparse.Namespace) -> int:
 
 
 def _cmd_shift(args: argparse.Namespace) -> int:
+    from . import expansion
+
     family = expansion.as_plain_n(expansion.sigma_expansion(args.k, args.s, args.R))
     shifted = expansion.shift_coefficients(family, args.h)
     _write_output(args.out, expansion.coefficients_to_csv_text(shifted))
@@ -170,6 +186,8 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
+    from . import asymptotics
+
     schedule = parse_schedule(args.N)
     config = asymptotics.CorrelationConfig(
         kind=args.method,
@@ -191,6 +209,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
+    from . import asymptotics
+
     schedule = parse_schedule(args.N)
     lemma_id = f"L{args.which}"
     report = asymptotics.lemma_check(
@@ -215,7 +235,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    dec = asymptotics.decompose_h(args.h, args.s)
+    dec = decompose_h(args.h, args.s)
     print(f"h={dec.h} m={dec.m} k={dec.k}")
     return EXIT_OK
 

@@ -2,8 +2,15 @@
 
 Everything divisor-indexed is computed from prime factorizations with plain
 Python integers, so values are exact at any size the factorizer accepts.
-Floating-point enters only where the contract is a real number (zeta,
-harmonic sums, real-exponent divisor sums).
+factorize runs trial division by small primes, then a deterministic
+Miller-Rabin test and Pollard-Brent rho on what is left, so every n up to
+FACTORIZE_LIMIT factors in well under a second. Floating-point enters only
+where the contract is a real number (zeta, harmonic sums, real-exponent
+divisor sums).
+
+This module imports no numpy: it is the layer the command line starts on,
+and it also holds the pieces that the cheap commands share with the sieving
+modules (ResourceLimitError and the shift decomposition h = m**s * k).
 """
 
 from __future__ import annotations
@@ -12,8 +19,26 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Declared domain bound for factorize(); trial division is exact up to here.
+# Declared domain bound for factorize(). The Miller-Rabin bases below are
+# proven for every n below 3.18e23, far past this bound.
 FACTORIZE_LIMIT = 2**63 - 1
+
+# Trial division stops past this cutoff. Dense tables factor every r up to
+# about 1e5, all below the cutoff squared, so they never leave the wheel.
+_TRIAL_LIMIT = 1024
+
+# The first 12 primes: a strong-probable-prime test to all of them is a
+# proof of primality for n < 3.18e23 (Sorenson and Webster, Math. Comp. 86,
+# 2017). The first 9 alone are fooled by 3825123056546413051.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Steps of Brent's rho per gcd: the differences x - y are multiplied mod n
+# and one gcd of the product tests the whole batch.
+_RHO_BATCH = 128
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation was rejected because it exceeds a declared budget."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +91,69 @@ def check_exponent(s: int) -> None:
     _check_positive("s", s)
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 37 below 3.18e23."""
+    d = n - 1
+    twos = (d & -d).bit_length() - 1
+    d >>= twos
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n by Brent's variant of Pollard rho.
+
+    The walk x -> x*x + c starts at 2; when a walk finds only n itself,
+    the next c is tried.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _large_prime_factors(n: int) -> list[int]:
+    """Prime factors of n with multiplicity, for n with no prime factor below _TRIAL_LIMIT."""
+    if _is_prime(n):
+        return [n]
+    d = _rho_divisor(n)
+    return _large_prime_factors(d) + _large_prime_factors(n // d)
+
+
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> Factorization:
-    """Factor n by deterministic trial division (2, 3, then 6k+-1).
+    """Factor n exactly: trial division (2, 3, then 6k+-1) up to
+    _TRIAL_LIMIT, then Miller-Rabin and Pollard-Brent rho on a cofactor
+    still at least the square of the next trial divisor.
 
     Raises ValueError for n < 1 or n above FACTORIZE_LIMIT.
     """
@@ -86,6 +171,10 @@ def factorize(n: int) -> Factorization:
             factors.append((p, e))
     p = 5
     while p * p <= m:
+        if p > _TRIAL_LIMIT:  # m >= p*p has no prime factor below p
+            primes = _large_prime_factors(m)
+            factors.extend((q, primes.count(q)) for q in sorted(set(primes)))
+            return Factorization(n, tuple(factors))
         for q in (p, p + 2):
             if m % q == 0:
                 e = 0
@@ -166,6 +255,28 @@ def is_power_free(n: int, s: int) -> bool:
     check_exponent(s)
     _check_positive("n", n)
     return all(e < s for _, e in factorize(n).factors)
+
+
+@dataclass(frozen=True)
+class HDecomposition:
+    """h = m**s * k with k s-th power free and m maximal."""
+
+    h: int
+    m: int
+    k: int
+
+
+def decompose_h(h: int, s: int) -> HDecomposition:
+    """Split h into its maximal s-th power part m**s and power-free part k."""
+    check_exponent(s)
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
+    m = 1
+    k = 1
+    for p, e in factorize(h).factors:
+        m *= p ** (e // s)
+        k *= p ** (e % s)
+    return HDecomposition(h=h, m=m, k=k)
 
 
 def jordan_totient(n: int, s: int) -> int:

@@ -23,7 +23,8 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .core_arith import (
+from .core_arith import (  # ResourceLimitError is re-exported
+    ResourceLimitError,
     check_exponent,
     divisors,
     factorize,
@@ -45,10 +46,6 @@ MAX_SIGMA_LIMIT = 20_000_000
 
 # int64 matrix products are used while every partial sum stays below this.
 _INT64_LIMIT = 2**63
-
-
-class ResourceLimitError(RuntimeError):
-    """A computation was rejected because it exceeds a declared budget."""
 
 
 def _check_r_n(r: int, n: int) -> None:

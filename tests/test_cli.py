@@ -397,3 +397,14 @@ def test_decompose_output(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--h", "12", "--s", "2")
     assert code == EXIT_OK
     assert out == "h=12 m=2 k=3\n"
+
+
+def test_decompose_past_trial_division(capsys):
+    h = 2**61 - 1  # prime: m = 1 and k = h
+    code, out, _ = run_cli(capsys, "decompose", "--h", str(h), "--s", "2")
+    assert code == EXIT_OK
+    assert out == f"h={h} m=1 k={h}\n"
+    p = 3037000493  # the largest prime below sqrt(2**63)
+    code, out, _ = run_cli(capsys, "decompose", "--h", str(p**2), "--s", "2")
+    assert code == EXIT_OK
+    assert out == f"h={p**2} m={p} k=1\n"

@@ -6,6 +6,7 @@ asserted directly, derived cases against brute-force oracles written here
 """
 
 import math
+import time
 
 import pytest
 import sympy
@@ -86,6 +87,26 @@ def test_factorize_rejects_zero_and_overflow():
         factorize(0)
     with pytest.raises(ValueError):
         factorize(FACTORIZE_LIMIT + 1)
+
+
+# Prime and composite n where trial division to sqrt(n) would take minutes.
+_HARD_N = (
+    2**61 - 1,  # Mersenne prime
+    2**63 - 25,  # largest prime below 2**63
+    FACTORIZE_LIMIT,  # 7**2 * 73 * 127 * 337 * 92737 * 649657
+    2147483647 * 2147483629,  # two ~31-bit primes
+    3037000493**2,  # square of the largest prime below sqrt(2**63)
+    3825123056546413051,  # strong pseudoprime to every prime base up to 23
+)
+
+
+@pytest.mark.parametrize("n", _HARD_N)
+def test_factorize_hard_inputs_match_sympy_in_bounded_time(n):
+    start = time.perf_counter()
+    got = factorize.__wrapped__(n)  # bypass the cache, so every call does the work
+    elapsed = time.perf_counter() - start
+    assert got.factors == tuple(sorted(sympy.factorint(n).items()))
+    assert elapsed < 0.5, f"factorize({n}) took {elapsed:.3f} s"
 
 
 def test_factorization_invariants_enforced():
@@ -333,10 +354,12 @@ def test_gcd_s_divides_both(m, n, s):
 
 # --- independent oracles (sympy) ---------------------------------------------
 
-# small n cover every shape often; up to 10**10 trial division stays fast
+# small n cover every shape often, mid-size n stay on trial division, and
+# the whole declared domain reaches Miller-Rabin and rho
 _ORACLE_N = st.one_of(
     st.integers(min_value=1, max_value=10**4),
     st.integers(min_value=1, max_value=10**10),
+    st.integers(min_value=1, max_value=FACTORIZE_LIMIT),
 )
 
 

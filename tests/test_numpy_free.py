@@ -1,0 +1,100 @@
+"""The numpy-free layer: crlab.cli starts on core_arith alone.
+
+`import crlab.cli`, `--help` and `decompose` must not load numpy, and the
+package's other public names must still resolve, to the same objects, on first
+access.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import crlab
+
+SRC = str(Path(crlab.__file__).resolve().parent.parent)
+
+# Every public name of the package, by the module it was imported from before
+# the numpy-backed modules became lazy. ResourceLimitError, HDecomposition and
+# decompose_h now live in core_arith; cr_sum and asymptotics re-export them,
+# so checking them against their old modules checks the re-export too.
+EXPORTS = {
+    "core_arith": (
+        "FACTORIZE_LIMIT", "Factorization", "divisors", "factorize", "gcd_s",
+        "harmonic_sum", "is_power_free", "is_s_prime", "jordan_totient", "klee_phi",
+        "mobius", "mobius_range", "sigma_ks", "sigma_real", "tau_s", "zeta",
+    ),
+    "cr_sum": (
+        "CRSumTable", "ResourceLimitError", "build_table", "cr_sum_exact",
+        "cr_sum_exponential", "cr_values_fixed_n", "orthogonality_grid",
+        "orthogonality_value", "power_free_absorption_check", "ramanujan_sum_oracle",
+    ),
+    "expansion": (
+        "ExpansionCoefficients", "as_plain_n", "coefficients_from_csv_text",
+        "coefficients_to_csv_text", "evaluate", "is_period_exact",
+        "mean_value_coefficient", "shift_coefficients", "sigma_expansion",
+        "tau_weighted_norm",
+    ),
+    "asymptotics": (
+        "CorrelationConfig", "CorrelationReport", "HDecomposition", "LemmaCheckReport",
+        "correlation_sum", "corollary_lhs", "corollary_main", "decompose_h", "lemma_check",
+        "run_correlation_report", "sigma_power_array", "theorem1_main", "theorem2_main",
+    ),
+}
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports crlab from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import crlab.cli",
+        "import contextlib, crlab.cli\n"
+        "with contextlib.suppress(SystemExit):\n"
+        "    crlab.cli.main(['--help'])",
+        "import crlab.cli\n"
+        "assert crlab.cli.main(['decompose', '--h', '12', '--s', '2']) == 0",
+    ],
+    ids=["import", "help", "decompose"],
+)
+def test_cli_paths_leave_numpy_unloaded(code):
+    done = run_python(code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_submodules_still_import_by_name():
+    done = run_python(
+        "from crlab import asymptotics, cr_sum, expansion\n"
+        "print(asymptotics.__name__, cr_sum.__name__, expansion.__name__)"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "crlab.asymptotics crlab.cr_sum crlab.expansion\n"
+
+
+@pytest.mark.parametrize("home", sorted(EXPORTS))
+def test_public_names_resolve_to_their_home_objects(home):
+    names = EXPORTS[home]
+    namespace: dict = {}
+    exec(f"from crlab import {', '.join(names)}", namespace)
+    module = importlib.import_module(f"crlab.{home}")
+    listed = dir(crlab)
+    for name in names:
+        assert namespace[name] is getattr(module, name), name
+        assert name in listed, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        crlab.no_such_name
+    assert not hasattr(crlab, "numpy")
