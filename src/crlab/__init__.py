@@ -49,7 +49,7 @@ _LAZY_EXPORTS = {
         "coefficients_to_csv_text",
         "evaluate",
         "is_period_exact",
-        "mean_value_coefficient",
+        "mean_value_coefficients",
         "shift_coefficients",
         "sigma_expansion",
         "tau_weighted_norm",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .cr_sum import (
     _divisor_power_sieve,
     _exact_matmul,
     _power_row,
+    _running_sums,
     _sieve_rows,
     cr_sum_exact,
     cr_values_fixed_n,
@@ -167,19 +168,6 @@ def _sigma_ratio_values(x: float, limit: int) -> np.ndarray:
     values = _divisor_power_sieve(pw)
     values[1:] /= pw[1:]
     return values
-
-
-def _running_sums(f: np.ndarray, g: np.ndarray, h: int, schedule: Sequence[int]) -> list[float]:
-    """sum_{n<=N} f[n] * g[n + h] for each N of an ascending schedule.
-
-    np.cumsum (add.accumulate) adds strictly in ascending n, so each sum
-    equals correlation_sum of the same values bit for bit; np.sum and
-    np.dot sum pairwise and would not.
-    """
-    top = schedule[-1]
-    sums = np.multiply(f[1 : top + 1], g[1 + h : top + h + 1])
-    np.cumsum(sums, out=sums)
-    return [float(sums[n - 1]) for n in schedule]
 
 
 # ---------------------------------------------------------------------------

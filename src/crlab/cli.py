@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .core_arith import ResourceLimitError, decompose_h, jordan_totient
+from .core_arith import ResourceLimitError, check_exponent, decompose_h, jordan_totient
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -120,25 +120,23 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _make_meanvalue_function(args: argparse.Namespace) -> Callable[[int], float]:
-    """f(n) for n <= N, built once per run and shared by every r."""
+def _meanvalue_f_values(args: argparse.Namespace, rows: int):
+    """f(n), n <= N, as one float64 row (slot 0 unused); checks the c-row grid budget first."""
     from . import asymptotics, cr_sum
 
-    if args.method == "one":
-        if args.k is not None:
-            raise ValueError("meanvalue --method one takes no --k")
-        return lambda n: 1.0
-    if args.method == "crsum":
-        q = args.k
-        if q is None or q < 1:
-            raise ValueError("meanvalue --method crsum needs --k (the inner index q)")
-        row = [float(c) for c in cr_sum.cr_sum_period_row(q, args.s)]
-        period = q**args.s
-        return lambda n: row[n % period]
-    if args.k is None or args.k < 1:
-        raise ValueError("meanvalue --method sigma needs --k")
-    # ndarray.item keeps 8 bytes per n and hands out plain Python floats.
-    return asymptotics._sigma_ratio_values(args.k * args.s, args.N).item
+    if args.method == "one" and args.k is not None:
+        raise ValueError("meanvalue --method one takes no --k")
+    if args.method != "one" and (args.k is None or args.k < 1):
+        need = "--k (the inner index q)" if args.method == "crsum" else "--k"
+        raise ValueError(f"meanvalue --method {args.method} needs {need}")
+    cr_sum._check_cells(rows, args.N)
+    if args.method == "sigma":
+        return asymptotics._sigma_ratio_values(args.k * args.s, args.N)
+    check_exponent(args.s)
+    if args.N < 0:  # N = 0 is left to mean_value_coefficients
+        raise ValueError(f"n_limit must be >= 1, got {args.N}")
+    q = 1 if args.method == "one" else args.k  # c_1^s(n) = 1
+    return cr_sum._sieve_rows((q,), args.N, args.s)[0].astype(float)
 
 
 def _cmd_meanvalue(args: argparse.Namespace) -> int:
@@ -148,26 +146,23 @@ def _cmd_meanvalue(args: argparse.Namespace) -> int:
         raise ValueError("meanvalue --out writes the r = 1..R coefficient CSV and needs --R")
     if args.r is not None and args.R is not None:
         raise ValueError("meanvalue takes --r (one coefficient) or --R (r = 1..R), not both")
-    f = _make_meanvalue_function(args)
+    r_values = range(1, args.R + 1) if args.R is not None else (1 if args.r is None else args.r,)
+    f_values = _meanvalue_f_values(args, len(r_values))
+    coeffs = expansion.mean_value_coefficients(f_values, r_values, args.s)
     if args.R is not None:
         family = expansion.ExpansionCoefficients(
             s=args.s,
             argument_mode=expansion.PLAIN_N,
-            coeffs=tuple(
-                expansion.mean_value_coefficient(f, r, args.s, args.N)
-                for r in range(1, args.R + 1)
-            ),
+            coeffs=tuple(coeffs),
             provenance=f"mean_value(method={args.method}, N={args.N})",
         )
         _write_output(args.out, expansion.coefficients_to_csv_text(family))
         if args.out is not None:
             print(f"mean-value coefficients r=1..{args.R} (N={args.N}) -> {args.out}")
         return EXIT_OK
-    r = 1 if args.r is None else args.r
-    coef = expansion.mean_value_coefficient(f, r, args.s, args.N)
-    exact = expansion.is_period_exact(r, args.s, args.N)
+    exact = expansion.is_period_exact(r_values[0], args.s, args.N)
     note = "period-exact" if exact else "partial periods"
-    print(f"{coef:.6g} ({note})")
+    print(f"{coeffs[0]:.6g} ({note})")
     return EXIT_OK
 
 

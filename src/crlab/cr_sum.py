@@ -91,6 +91,13 @@ def _mobius_terms(r: int) -> list[tuple[int, int]]:
     return terms
 
 
+def _check_cells(rows: int, n_max: int) -> None:
+    """Hold a grid of rows x (n_max + 1) cells to MAX_TABLE_CELLS."""
+    cells = rows * (n_max + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise ResourceLimitError(f"table of {cells} cells exceeds budget {MAX_TABLE_CELLS}")
+
+
 def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
     """c_r^s(n) for 0 <= n <= n_max, one row per entry of r_values, in that order.
 
@@ -99,11 +106,9 @@ def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
     strides, however large r is. The grid is held to MAX_TABLE_CELLS before
     anything is sieved.
     """
-    cells = len(r_values) * (n_max + 1)
-    if cells > MAX_TABLE_CELLS:
-        raise ResourceLimitError(f"table of {cells} cells exceeds budget {MAX_TABLE_CELLS}")
+    _check_cells(len(r_values), n_max)
     terms = ((i, d, m) for i, r in enumerate(r_values) for d, m in _mobius_terms(r))
-    return _stride_sieve(terms, len(r_values), n_max + 1, s, max(r_values))
+    return _stride_sieve(terms, len(r_values), n_max + 1, s, max(r_values, default=1))
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
@@ -149,6 +154,19 @@ def _divisor_power_sieve(pw: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _running_sums(f: np.ndarray, g: np.ndarray, h: int, schedule: Sequence[int]) -> list[float]:
+    """sum_{n<=N} f[n] * g[n + h] for each N of an ascending schedule.
+
+    np.cumsum (add.accumulate) adds strictly in ascending n, so each sum equals
+    the loop `total += f[n] * g[n + h]` from 0.0 bit for bit, once + 0.0 turns
+    a leading -0.0 into 0.0; np.sum and np.dot sum pairwise and would not.
+    """
+    top = schedule[-1]
+    sums = np.multiply(f[1 : top + 1], g[1 + h : top + h + 1])
+    np.cumsum(sums, out=sums)
+    return [float(sums[n - 1]) + 0.0 for n in schedule]
+
+
 def cr_sum_exact(r: int, n: int, s: int) -> int:
     """Exact c_r^s(n) from the divisor-sum representation.
 
@@ -163,15 +181,6 @@ def cr_sum_exact(r: int, n: int, s: int) -> int:
         if n % ds == 0:
             total += mobius(r // d) * ds
     return total
-
-
-@lru_cache(maxsize=512)
-def cr_sum_period_row(r: int, s: int) -> tuple[int, ...]:
-    """c_r^s(m) for m = 0 .. r**s - 1; the sum is periodic mod r**s."""
-    check_exponent(s)
-    _check_r_n(r, 0)
-    period = _check_period(r, s)
-    return tuple(_sieve_rows((r,), period - 1, s)[0].tolist())
 
 
 @lru_cache(maxsize=128)

@@ -9,6 +9,8 @@ import json
 import math
 import time
 
+import numpy as np
+
 from crlab.asymptotics import (
     corollary_lhs,
     corollary_main,
@@ -28,20 +30,24 @@ from crlab.cr_sum import (
     build_table,
     cr_sum_exact,
     cr_sum_exponential,
-    cr_sum_period_row,
     ramanujan_sum_oracle,
     orthogonality_value,
 )
 from crlab.expansion import (
     ExpansionCoefficients,
     evaluate,
-    mean_value_coefficient,
+    mean_value_coefficients,
     shift_coefficients,
     sigma_expansion,
 )
 
 # zeta(3)**2/zeta(6) * (1 + 2**-5), frozen from a 30-digit mpmath evaluation
 COROLLARY_CONSTANT = 1.4646929379732306
+
+
+def values_row(f, n_limit: int) -> np.ndarray:
+    """The float64 row f(n) for n <= n_limit, slot 0 unused."""
+    return np.array([0.0] + [f(n) for n in range(1, n_limit + 1)])
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -181,13 +187,11 @@ def test_c6_mean_value_extraction_exact():
     exact = True
     for s in (1, 2):
         for q in range(1, 7):
-            row = cr_sum_period_row(q, s)
-            period_q = q**s
-            f = lambda n: float(row[n % period_q])
+            f = lambda n: float(cr_sum_exact(q, n, s))
             for r in range(1, 7):
                 n_full = math.lcm(q, r) ** s
                 for multiple in (1, 2):
-                    value = mean_value_coefficient(f, r, s, multiple * n_full)
+                    (value,) = mean_value_coefficients(values_row(f, multiple * n_full), (r,), s)
                     expected = 1.0 if q == r else 0.0
                     exact = exact and value == expected
     elapsed = time.perf_counter() - start
@@ -228,7 +232,7 @@ def test_c8_shift_transform_check():
     extracted = ExpansionCoefficients(
         s=1,
         argument_mode="plain_n",
-        coeffs=tuple(mean_value_coefficient(f, r, 1, n_full) for r in range(1, r_top + 1)),
+        coeffs=tuple(mean_value_coefficients(values_row(f, n_full), range(1, r_top + 1), 1)),
         provenance="mean_value_extracted",
     )
     window = range(1, 61)
@@ -240,8 +244,7 @@ def test_c8_shift_transform_check():
     for h in (1, 3):
         shifted = shift_coefficients(extracted, h)
         direct = tuple(
-            mean_value_coefficient(lambda n: f(n + h), r, 1, n_full)
-            for r in range(1, r_top + 1)
+            mean_value_coefficients(values_row(lambda n: f(n + h), n_full), range(1, r_top + 1), 1)
         )
         deviations[h] = max(abs(a - b) for a, b in zip(direct, shifted.coeffs))
     ok_track = all(dev <= tail for dev in deviations.values())

@@ -13,6 +13,7 @@ from crlab.asymptotics import MAX_SIGMA_LIMIT
 from crlab.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, parse_schedule
 from crlab.core_arith import jordan_totient, sigma_real
 from crlab.cr_sum import cr_sum_exact
+from crlab.expansion import MAX_SERIES_R
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +327,75 @@ def test_meanvalue_r_defaults_to_one(capsys):
     code, out, _ = run_cli(capsys, *MEANVALUE_ONE)
     assert code == EXIT_OK
     assert out == "1 (period-exact)\n"
+
+
+def test_meanvalue_prints_zero_not_negative_zero(capsys):
+    # the only term is c_2(1) * c_4(1) = -1.0 * 0 = -0.0; a loop from 0.0 gives +0.0
+    code, out, _ = run_cli(
+        capsys, "meanvalue", "--method", "crsum", "--k", "2", "--s", "1", "--N", "1", "--r", "4"
+    )
+    assert code == EXIT_OK
+    assert out == "0 (partial periods)\n"
+
+
+@pytest.mark.parametrize(
+    "method",
+    [("--method", "one"), ("--method", "crsum", "--k", "7"), ("--method", "sigma", "--k", "1")],
+    ids=["one", "crsum", "sigma"],
+)
+def test_meanvalue_over_cell_budget_exits_before_sieving(capsys, monkeypatch, method):
+    def no_sieve(*args):
+        raise AssertionError("a row was sieved for an over-budget grid")
+
+    monkeypatch.setattr(cr_sum, "_stride_sieve", no_sieve)
+    _forbid_sigma_rows(monkeypatch)
+    n_limit = 999
+    r_top = cr_sum.MAX_TABLE_CELLS // (n_limit + 1) + 1  # R * (N + 1) just past the budget
+    for extent in (("--N", str(n_limit), "--R", str(r_top)),
+                   ("--N", str(cr_sum.MAX_TABLE_CELLS), "--r", "3")):
+        code, out, err = run_cli(capsys, "meanvalue", *method, "--s", "1", *extent)
+        assert code == EXIT_RESOURCE
+        assert "resource" in err and str(cr_sum.MAX_TABLE_CELLS) in err
+        assert out == ""
+
+
+def test_meanvalue_one_is_crsum_with_q_one(tmp_path, capsys):
+    paths = [tmp_path / "one.csv", tmp_path / "crsum.csv"]
+    for path, method in zip(paths, (("--method", "one"), ("--method", "crsum", "--k", "1"))):
+        code, _, _ = run_cli(
+            capsys, "meanvalue", *method, "--s", "2", "--N", "500", "--R", "12", "--out", str(path)
+        )
+        assert code == EXIT_OK
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_meanvalue_crsum_needs_no_period_row(capsys):
+    # q**s = 30**13 is far past the 10**7 period limit; only n <= N is sieved
+    code, out, err = run_cli(
+        capsys, "meanvalue", "--method", "crsum", "--k", "30", "--s", "13", "--N", "100", "--r", "3"
+    )
+    assert code == EXIT_OK, err
+    total = 0.0
+    for n in range(1, 101):
+        total += float(cr_sum_exact(30, n, 13)) * cr_sum_exact(3, n, 13)
+    assert out == f"{total / 100 / jordan_totient(3, 13):.6g} (partial periods)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--k", "1", "--s", "1"),
+        ("shift", "--k", "1", "--s", "1", "--h", "2"),
+        ("correlate", "--method", "t1", "--k", "1", "--s", "1", "--N", "10"),
+        ("correlate", "--method", "t2", "--k", "1", "--s", "1", "--h", "2", "--N", "10"),
+    ],
+    ids=["expand", "shift", "t1", "t2"],
+)
+def test_series_commands_held_to_r_budget(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--R", str(MAX_SERIES_R + 1))
+    assert code == EXIT_RESOURCE
+    assert "resource" in err and str(MAX_SERIES_R) in err
+    assert out == ""
 
 
 # --- lemmas ------------------------------------------------------------------

@@ -20,7 +20,6 @@ from crlab.cr_sum import (
     build_table,
     cr_sum_exact,
     cr_sum_exponential,
-    cr_sum_period_row,
     cr_values_fixed_n,
     orthogonality_grid,
     orthogonality_value,
@@ -331,15 +330,13 @@ def test_build_table_object_dtype_fallback():
     assert build_table(12, 0, 18).value(12, 0) == jordan_totient(12, 18) > 2**63
 
 
-def test_cr_sum_period_row_matches_exact():
+def test_sieve_row_over_one_period_matches_exact():
     for s in (1, 2, 3):
         for r in (1, 2, 6, 12, 30):
-            row = cr_sum_period_row(r, s)
+            row = cr_sum._sieve_rows((r,), r**s - 1, s)[0].tolist()
             assert len(row) == r**s
             assert all(type(v) is int for v in row)
-            assert row == tuple(cr_sum_exact(r, n, s) for n in range(r**s))
-    with pytest.raises(ResourceLimitError):
-        cr_sum_period_row(3163, 2)
+            assert row == [cr_sum_exact(r, n, s) for n in range(r**s)]
 
 
 def test_sieve_rows_cost_follows_the_rows_asked_for(monkeypatch):

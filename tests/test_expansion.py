@@ -2,19 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crlab import cr_sum
 from crlab.core_arith import divisors, jordan_totient, sigma_real, tau_s, zeta
-from crlab.cr_sum import ResourceLimitError, cr_sum_exact, cr_sum_period_row
+from crlab.cr_sum import ResourceLimitError, cr_sum_exact
 from crlab.expansion import (
+    MAX_SERIES_R,
     ExpansionCoefficients,
     as_plain_n,
     coefficients_from_csv_text,
     coefficients_to_csv_text,
     evaluate,
     is_period_exact,
-    mean_value_coefficient,
+    mean_value_coefficients,
     shift_coefficients,
     sigma_expansion,
     tau_weighted_norm,
@@ -42,6 +46,20 @@ def brute_mobius(n: int) -> int:
 
 def sigma_over_n(n: int) -> float:
     return sigma_real(n, 1.0) / n
+
+
+def f_row(f, n_limit: int) -> np.ndarray:
+    """The float64 row f(n) for n <= n_limit, slot 0 unused."""
+    return np.array([0.0] + [f(n) for n in range(1, n_limit + 1)])
+
+
+def mean_value(f, r: int, s: int, n_limit: int) -> float:
+    return mean_value_coefficients(f_row(f, n_limit), (r,), s)[0]
+
+
+def c_row(q: int, s: int):
+    """n -> c_q^s(n) as a float, from the divisor-sum oracle."""
+    return lambda n: float(cr_sum_exact(q, n, s))
 
 
 # --- closed-form family ------------------------------------------------------
@@ -72,6 +90,13 @@ def test_family_validation():
         ExpansionCoefficients(s=1, argument_mode="weird", coeffs=(1.0,), provenance="x")
     with pytest.raises(ValueError):
         sigma_expansion(0, 1, 5)
+
+
+def test_sigma_expansion_held_to_series_budget(monkeypatch):
+    assert sigma_expansion(1, 1, MAX_SERIES_R).r_max == MAX_SERIES_R
+    monkeypatch.setattr("crlab.expansion.zeta", None)  # nothing is built past the budget
+    with pytest.raises(ResourceLimitError):
+        sigma_expansion(1, 1, MAX_SERIES_R + 1)
 
 
 def test_as_plain_n():
@@ -139,12 +164,16 @@ def test_evaluate_n_to_s_beyond_factorization_bound():
 
 
 def test_mean_value_examples():
-    row = cr_sum_period_row(2, 2)
-    f = lambda n: float(row[n % 4])
-    assert mean_value_coefficient(f, 2, 2, 16) == 1.0
-    assert mean_value_coefficient(lambda n: 1.0, 2, 2, 16) == 0.0
+    f = c_row(2, 2)
+    assert mean_value(f, 2, 2, 16) == 1.0
+    assert mean_value(lambda n: 1.0, 2, 2, 16) == 0.0
     for N in (1, 7, 16):
-        assert mean_value_coefficient(lambda n: 1.0, 1, 2, N) == 1.0
+        assert mean_value(lambda n: 1.0, 1, 2, N) == 1.0
+    assert mean_value_coefficients(f_row(f, 16), (2, 1, 2), 2) == [1.0, 0.0, 1.0]
+    assert mean_value_coefficients(f_row(f, 16), (), 2) == []
+    for r_values, n_limit in (((0,), 16), ((1, -1), 16), ((1,), 0)):
+        with pytest.raises(ValueError):
+            mean_value_coefficients(f_row(f, n_limit), r_values, 2)
 
 
 def test_mean_value_partial_period_matches_exact_oracle():
@@ -156,21 +185,70 @@ def test_mean_value_partial_period_matches_exact_oracle():
         total = 0.0
         for n in range(1, N + 1):
             total += f(n) * cr_sum_exact(r, n, s)
-        assert mean_value_coefficient(f, r, s, N) == total / N / jordan_totient(r, s), (r, s, N)
+        assert mean_value(f, r, s, N) == total / N / jordan_totient(r, s), (r, s, N)
 
 
 def test_mean_value_row_held_to_table_budget(monkeypatch):
-    # the row covers min(r**s, N + 1) residues: 48 cells fit, a period of 49 does not
+    # the rows cover n = 0..N: one row of 48 cells fits, two rows or a 49th cell do not
     monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 48)
     # c_7^2(n) = -1 for 1 <= n < 49
-    assert mean_value_coefficient(lambda n: 1.0, 7, 2, 47) == -47.0 / 47 / jordan_totient(7, 2)
+    assert mean_value(lambda n: 1.0, 7, 2, 47) == -47.0 / 47 / jordan_totient(7, 2)
 
     def no_sieve(*args):
         raise AssertionError("mean-value row sieved past the cell budget")
 
     monkeypatch.setattr(cr_sum, "_stride_sieve", no_sieve)
     with pytest.raises(ResourceLimitError):
-        mean_value_coefficient(lambda n: 1.0, 7, 2, 100)
+        mean_value(lambda n: 1.0, 7, 2, 48)
+    with pytest.raises(ResourceLimitError):
+        mean_value_coefficients(f_row(lambda n: 1.0, 24), (7, 1), 2)
+
+
+def _oracle_mean_value(f_values, r: int, s: int) -> float:
+    """The finite mean value as a plain loop over n with exact c_r^s(n)."""
+    n_limit = len(f_values) - 1
+    total = 0.0
+    for n in range(1, n_limit + 1):
+        total += f_values[n] * cr_sum_exact(r, n, s)
+    return total / n_limit / jordan_totient(r, s)
+
+
+@st.composite
+def _mean_value_cases(draw):
+    """(f_values, r_values, s): N from 1 up, below one period or across whole periods."""
+    s = draw(st.sampled_from((1, 1, 2, 3, 13)))
+    r_top = 30 if s == 13 else {1: 60, 2: 12, 3: 5}[s]
+    r_values = draw(st.lists(st.integers(1, r_top), min_size=1, max_size=4))
+    r = r_values[0]
+    if s < 13 and draw(st.booleans()):
+        n_limit = r**s * draw(st.integers(1, max(1, 400 // r**s)))  # whole periods of r_values[0]
+    else:
+        n_limit = draw(st.integers(1, 400))
+    entries = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    f_values = [0.0] + draw(st.lists(entries, min_size=n_limit, max_size=n_limit))
+    return f_values, r_values, s
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_mean_value_cases())
+def test_mean_value_coefficients_match_loop_oracle(case):
+    f_values, r_values, s = case
+    got = mean_value_coefficients(np.array(f_values), r_values, s)
+    expected = [_oracle_mean_value(f_values, r, s) for r in r_values]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def test_mean_value_object_grid_matches_loop_oracle():
+    # 30**13 * 5 >= 2**63, so the c-rows are Python ints in an object grid
+    assert cr_sum._grid_dtype(30, 13) is object
+    f_values = [0.0] + [(-1.0) ** n * n / 7 for n in range(1, 301)]
+    r_values = (30, 2, 29, 1)
+    got = mean_value_coefficients(np.array(f_values), r_values, 13)
+    expected = [_oracle_mean_value(f_values, r, 13) for r in r_values]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 def test_is_period_exact():
@@ -182,12 +260,10 @@ def test_is_period_exact():
 def test_mean_value_orthogonality_recovery():
     for s in (1, 2):
         for q in range(1, 5):
-            row_q = cr_sum_period_row(q, s)
-            period_q = q**s
-            f = lambda n: float(row_q[n % period_q])
+            f = c_row(q, s)
             for r in range(1, 5):
                 n_full = math.lcm(q, r) ** s
-                value = mean_value_coefficient(f, r, s, n_full)
+                value = mean_value(f, r, s, n_full)
                 assert value == (1.0 if q == r else 0.0), (q, r, s)
 
 
@@ -198,7 +274,7 @@ def test_coefficient_recovery_within_truncation_tail():
     f = lambda n: values[n - 1]
     tail_bound = zeta(2.0) * sum(1.0 / q**2 for q in range(R + 1, 100_000))
     for r in range(1, 6):
-        recovered = mean_value_coefficient(f, r, 1, N)
+        recovered = mean_value(f, r, 1, N)
         assert abs(recovered - zeta(2.0) / r**2) <= tail_bound, r
 
 

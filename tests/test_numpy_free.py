@@ -21,6 +21,7 @@ SRC = str(Path(crlab.__file__).resolve().parent.parent)
 # the numpy-backed modules became lazy. ResourceLimitError, HDecomposition and
 # decompose_h now live in core_arith; cr_sum and asymptotics re-export them,
 # so checking them against their old modules checks the re-export too.
+# mean_value_coefficient has since become mean_value_coefficients.
 EXPORTS = {
     "core_arith": (
         "FACTORIZE_LIMIT", "Factorization", "divisors", "factorize", "gcd_s",
@@ -35,7 +36,7 @@ EXPORTS = {
     "expansion": (
         "ExpansionCoefficients", "as_plain_n", "coefficients_from_csv_text",
         "coefficients_to_csv_text", "evaluate", "is_period_exact",
-        "mean_value_coefficient", "shift_coefficients", "sigma_expansion",
+        "mean_value_coefficients", "shift_coefficients", "sigma_expansion",
         "tau_weighted_norm",
     ),
     "asymptotics": (
