@@ -13,6 +13,7 @@ without numpy.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from typing import Sequence
 
@@ -51,6 +52,7 @@ def _cmd_crsum(args: argparse.Namespace) -> int:
 
     if args.method in ("exact", "both"):
         exact = cr_sum.cr_sum_exact(args.r, args.n, args.s)
+        cr_sum._check_digits(args.r, args.s, exact)
     if args.method in ("exponential", "both"):
         approx = cr_sum.cr_sum_exponential(args.r, args.n, args.s)
     if args.method == "exact":
@@ -68,17 +70,20 @@ def _cmd_crsum(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     from . import cr_sum
 
-    table = cr_sum.build_table(args.r, args.n, args.s)
+    cr_sum._check_table(args.r, args.n, args.s)
+    cr_sum._check_digits(args.r, args.s)
     if args.out is None:
         sys.stdout.flush()
         stream = getattr(sys.stdout, "buffer", None)
         if stream is None:  # a text-only replacement such as io.StringIO
-            sys.stdout.write(table.to_csv_text())
+            buffer = io.BytesIO()
+            cr_sum._stream_table_csv(buffer, args.r, args.n, args.s)
+            sys.stdout.write(buffer.getvalue().decode("ascii"))
         else:
-            table.write_csv(stream)
+            cr_sum._stream_table_csv(stream, args.r, args.n, args.s)
         return EXIT_OK
     with open(args.out, "wb") as handle:
-        table.write_csv(handle)
+        cr_sum._stream_table_csv(handle, args.r, args.n, args.s)
     cells = args.r * (args.n + 1)
     print(f"table r_max={args.r} n_max={args.n} s={args.s}: {cells} cells -> {args.out}")
     return EXIT_OK

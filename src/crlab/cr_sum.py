@@ -6,8 +6,11 @@ route evaluates the defining exponential sum over an s-reduced residue
 system mod r**s in floating point. Every sieved row (batch tables, lemma
 rows, period rows and mean-value rows) comes from one row builder: the terms
 (d, mu(r/d)) of each row are generated from factorize(r) and added by one
-numpy stride sieve. Tables are immutable and stream out as CSV, and
-orthogonality sums are exact integer Gram matrices of period rows. The float
+numpy stride sieve. Tables are read-only int64 (or object) grids; the
+`table` command sieves row blocks of about _BLOCK_CELLS cells and writes each
+block straight to CSV, so it holds one block and no per-cell Python int,
+however large the table is. Mean values sum the same row blocks.
+Orthogonality sums are exact integer Gram matrices of period rows. The float
 divisor-power sieve behind the sigma rows and tau(r) lives here too.
 """
 
@@ -15,11 +18,12 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +42,10 @@ EXPONENTIAL_ROUTE_LIMIT = 10**7
 
 # Memory budget for dense batch tables, in cells.
 MAX_TABLE_CELLS = 50_000_000
+
+# Cells per sieved row block (8 MiB of int64) when a table streams out or
+# mean values are summed; a block always holds at least one row.
+_BLOCK_CELLS = 2**20
 
 # Largest n a sigma row is built for. A correlate run holds at most three
 # float64 rows of about N + h cells at once (f, g and the power row or the
@@ -109,6 +117,71 @@ def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
     _check_cells(len(r_values), n_max)
     terms = ((i, d, m) for i, r in enumerate(r_values) for d, m in _mobius_terms(r))
     return _stride_sieve(terms, len(r_values), n_max + 1, s, max(r_values, default=1))
+
+
+def _sieved_rows(r_values: Sequence[int], n_max: int, s: int) -> Iterator[np.ndarray]:
+    """The rows of _sieve_rows(r_values, n_max, s), sieved in blocks of about _BLOCK_CELLS cells.
+
+    Each row is a copy, so a caller still holding the last row of a block
+    does not keep that block alive while the next one is sieved: one block
+    is held at a time.
+    """
+    step = max(1, _BLOCK_CELLS // (n_max + 1))
+    for lo in range(0, len(r_values), step):
+        yield from map(np.copy, _sieve_rows(r_values[lo : lo + step], n_max, s))
+
+
+def _check_table(r_max: int, n_max: int, s: int) -> None:
+    """Validate a table's shape and hold it to MAX_TABLE_CELLS."""
+    check_exponent(s)
+    if r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {r_max}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_cells(r_max, n_max)
+
+
+def _check_digits(r_max: int, s: int, value: int | None = None) -> None:
+    """Refuse c_r^s values Python cannot print: more than sys.get_int_max_str_digits() digits.
+
+    Hoelder's evaluation c_r^s(n) = mu(r/m) J_s(r) / J_s(r/m) gives
+    |c_r^s(n)| <= J_s(r) <= r**s - 1 for r >= 2, so every value of a table
+    over r <= r_max prints once r_max**s <= 10**limit. A single value is
+    checked as it is. Either way the check runs before any output.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if not limit:
+        return
+    if value is None:
+        # r_max**s >= 2**((bits - 1) * s) and 2**(4 * limit) > 10**limit, so a
+        # huge s is refused without raising r_max to it.
+        too_long = (r_max.bit_length() - 1) * s > 4 * limit or r_max**s > 10**limit
+    else:
+        too_long = abs(value) >= 10**limit
+    if too_long:
+        raise ResourceLimitError(
+            f"c_r^s values for r <= {r_max} at s = {s} exceed the int-to-str limit of {limit} digits"
+        )
+
+
+def _write_csv(handle: BinaryIO, rows: Iterable[np.ndarray], n_max: int) -> None:
+    """Write the table CSV (header r,n,value) of rows r = 1, 2, ..., one write per row.
+
+    Each row is one %-format of Python ints over a template of every n of the row.
+    """
+    handle.write(b"r,n,value\n")
+    tails = [b",%d,%%d\n" % n for n in range(n_max + 1)]
+    for r, row in enumerate(rows, start=1):
+        prefix = b"%d" % r
+        handle.write((prefix + prefix.join(tails)) % tuple(row.tolist()))
+
+
+def _stream_table_csv(handle: BinaryIO, r_max: int, n_max: int, s: int) -> None:
+    """Write the CSV of build_table(r_max, n_max, s) from row blocks, holding one block.
+
+    Callers run _check_table and _check_digits first, before opening handle.
+    """
+    _write_csv(handle, _sieved_rows(range(1, r_max + 1), n_max, s), n_max)
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
@@ -363,40 +436,44 @@ def _cr_values_at_root(root_part: int, s: int, r_max: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CRSumTable:
-    """Immutable dense table of c_r^s(n) over 1 <= r <= r_max, 0 <= n <= n_max."""
+    """Immutable dense table of c_r^s(n) over 1 <= r <= r_max, 0 <= n <= n_max.
+
+    values is a read-only (r_max, n_max + 1) ndarray, int64 or (past int64)
+    object; value() and row() return Python ints. Tables compare by identity,
+    since == on ndarrays is elementwise.
+    """
 
     s: int
     r_max: int
     n_max: int
-    values: tuple[tuple[int, ...], ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.r_max:
+        values = np.asarray(self.values).view()  # a view, so the caller's array keeps its flags
+        if values.ndim != 2 or values.shape[0] != self.r_max:
             raise ValueError("row count does not match r_max")
-        if any(len(row) != self.n_max + 1 for row in self.values):
+        if values.shape[1] != self.n_max + 1:
             raise ValueError("row length does not match n_max")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def value(self, r: int, n: int) -> int:
         if not 1 <= r <= self.r_max:
             raise ValueError(f"r = {r} outside table range 1..{self.r_max}")
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n = {n} outside table range 0..{self.n_max}")
-        return self.values[r - 1][n]
+        return int(self.values[r - 1, n])
 
     def row(self, r: int) -> tuple[int, ...]:
         if not 1 <= r <= self.r_max:
             raise ValueError(f"r = {r} outside table range 1..{self.r_max}")
-        return self.values[r - 1]
+        return tuple(self.values[r - 1].tolist())
 
     def write_csv(self, handle: BinaryIO) -> None:
         """Write the CSV (header r,n,value) as ASCII bytes, one row per write."""
-        handle.write(b"r,n,value\n")
-        tails = [b",%d,%%d\n" % n for n in range(self.n_max + 1)]
-        for r, row in enumerate(self.values, start=1):
-            prefix = b"%d" % r
-            handle.write((prefix + prefix.join(tails)) % row)
+        _write_csv(handle, self.values, self.n_max)
 
     def to_csv_text(self) -> str:
         buffer = io.BytesIO()
@@ -406,13 +483,9 @@ class CRSumTable:
 
 def build_table(r_max: int, n_max: int, s: int) -> CRSumTable:
     """Sieve the full c_r^s table for 1 <= r <= r_max, 0 <= n <= n_max in one numpy pass."""
-    check_exponent(s)
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_table(r_max, n_max, s)
     grid = _sieve_rows(range(1, r_max + 1), n_max, s)
-    return CRSumTable(s=s, r_max=r_max, n_max=n_max, values=tuple(map(tuple, grid.tolist())))
+    return CRSumTable(s=s, r_max=r_max, n_max=n_max, values=grid)
 
 
 def power_free_absorption_check(r: int, m: int, k: int, s: int) -> bool:

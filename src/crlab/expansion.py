@@ -17,7 +17,8 @@ import numpy as np
 
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, zeta
 from .cr_sum import (
-    _cr_values_at_root, _divisor_power_sieve, _running_sums, _sieve_rows, cr_values_fixed_n,
+    _check_cells, _cr_values_at_root, _divisor_power_sieve, _running_sums, _sieved_rows,
+    cr_values_fixed_n,
 )
 
 PLAIN_N = "plain_n"
@@ -114,7 +115,9 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
 
     f_values[n] = f(n) as float64 for n <= N = len(f_values) - 1, slot 0 unused.
     Each sum runs in ascending n, so it equals a Python loop over n bit for bit,
-    on rows sieved straight to N and held to MAX_TABLE_CELLS before any sieving.
+    on rows sieved straight to N in row blocks of about _BLOCK_CELLS cells (one
+    block is held at a time), with all R * (N + 1) cells held to
+    MAX_TABLE_CELLS before any sieving.
     When r**s | N whole periods of c_r^s are averaged (see is_period_exact); no
     N -> infinity extrapolation is attempted.
     """
@@ -124,7 +127,8 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     n_limit = len(f_values) - 1
     if r_values and n_limit < 1:
         raise ValueError(f"n_limit must be >= 1, got {n_limit}")
-    rows = _sieve_rows(r_values, n_limit, s)
+    _check_cells(len(r_values), n_limit)
+    rows = _sieved_rows(r_values, n_limit, s)
     sums = (_running_sums(f_values, row, 0, (n_limit,))[0] for row in rows)
     return [total / n_limit / jordan_totient(r, s) for r, total in zip(r_values, sums)]
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +106,57 @@ def test_table_io_error(tmp_path, capsys):
     )
     assert code == EXIT_IO
     assert "I/O" in err
+
+
+@contextlib.contextmanager
+def int_str_digits(limit):
+    """Set Python's int-to-str digit limit for the duration of the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_table_over_budget_writes_no_output(tmp_path, capsysbinary, monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("a row was sieved for an over-budget table")
+
+    monkeypatch.setattr(cr_sum, "_stride_sieve", no_sieve)
+    path = tmp_path / "t.csv"
+    for argv in (
+        ["--r", "2", "--n", "0", "--s", "20000"],  # 2**20000 has 6021 digits
+        ["--r", "100000", "--n", "10000", "--s", "1"],  # 10**9 cells
+    ):
+        for out in (["--out", str(path)], []):
+            with int_str_digits(4300):
+                assert main(["table", *argv, *out]) == EXIT_RESOURCE
+            captured = capsysbinary.readouterr()
+            assert b"resource" in captured.err and captured.out == b""
+            assert not path.exists()
+
+
+def test_table_and_crsum_digit_budget_edge(capsys):
+    with int_str_digits(640):
+        # every |c_r^s(n)| <= r**s - 1, and 10**640 - 1 has 640 digits
+        code, out, _ = run_cli(capsys, "table", "--r", "10", "--n", "0", "--s", "640")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == f"10,0,{jordan_totient(10, 640)}"
+        code, out, err = run_cli(capsys, "table", "--r", "10", "--n", "0", "--s", "641")
+        assert code == EXIT_RESOURCE and out == ""
+        assert "int-to-str limit of 640 digits" in err
+        # crsum checks the value it prints, so a small value at a large s still prints
+        code, out, _ = run_cli(capsys, "crsum", "--r", "2", "--n", "1", "--s", "5000")
+        assert (code, out) == (EXIT_OK, "-1\n")
+        code, out, _ = run_cli(capsys, "crsum", "--r", "10", "--n", "0", "--s", "640")
+        assert (code, out) == (EXIT_OK, f"{jordan_totient(10, 640)}\n")
+        code, out, err = run_cli(capsys, "crsum", "--r", "10", "--n", "0", "--s", "641")
+        assert code == EXIT_RESOURCE and out == "" and "int-to-str" in err
+    code, out, err = run_cli(capsys, "crsum", "--r", "720720", "--n", "0", "--s", "20000")
+    assert code == EXIT_RESOURCE and out == "" and "int-to-str" in err
 
 
 def test_threads_flag_is_rejected(tmp_path):

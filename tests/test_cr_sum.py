@@ -3,6 +3,7 @@
 import cmath
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlab import cr_sum
+from crlab.cli import main as cli_main
 from crlab.core_arith import divisors, gcd_s, jordan_totient, klee_phi, mobius, sigma_ks
 from crlab.cr_sum import (
     EXPONENTIAL_ROUTE_LIMIT,
@@ -256,7 +258,7 @@ def test_orthogonality_grid_budgets(monkeypatch):
 
 def test_build_table_examples():
     ones = build_table(1, 5, 2)
-    assert ones.values == ((1, 1, 1, 1, 1, 1),)
+    assert ones.values.tolist() == [[1, 1, 1, 1, 1, 1]]
 
     table = build_table(10, 100, 1)
     for r in range(1, 11):
@@ -282,9 +284,17 @@ def test_table_invariants():
 
 def test_table_is_immutable_and_validated():
     table = build_table(3, 4, 1)
-    assert isinstance(table.values, tuple)
-    with pytest.raises(TypeError):
-        table.values[0][0] = 99  # tuples reject item assignment
+    assert isinstance(table.values, np.ndarray) and table.values.dtype == np.int64
+    with pytest.raises(ValueError):
+        table.values[0][0] = 99  # a read-only ndarray rejects item assignment
+    with pytest.raises(ValueError):
+        table.values[0, 0] = 99
+    assert type(table.value(3, 4)) is int
+    assert table.row(2) == (1, -1, 1, -1, 1) and all(type(v) is int for v in table.row(2))
+    # the caller's array keeps its own flags
+    grid = np.ones((2, 3), dtype=np.int64)
+    assert not CRSumTable(s=1, r_max=2, n_max=2, values=grid).values.flags.writeable
+    assert grid.flags.writeable
     with pytest.raises(ValueError):
         table.value(4, 0)
     with pytest.raises(ValueError):
@@ -369,6 +379,74 @@ def test_write_csv_matches_text_export():
         )
         assert buffer.getvalue() == table.to_csv_text().encode() == expected.encode()
     assert any(v < 0 for row in build_table(12, 30, 1).values for v in row)
+
+
+@pytest.mark.parametrize(
+    "r_max, n_max, s, block",
+    [
+        (7, 1, 2, 6),  # three rows a block, then a single row
+        (5, 3, 1, 4),  # one row fills a block exactly
+        (4, 9, 3, 5),  # a row longer than a block still makes a block
+        (13, 4, 17, 15),  # s = 17 and r > 11: int64 blocks, then object blocks
+    ],
+)
+def test_streamed_table_crosses_block_boundaries(tmp_path, monkeypatch, r_max, n_max, s, block):
+    expected = "r,n,value\n" + "".join(
+        f"{r},{n},{cr_sum_exact(r, n, s)}\n" for r in range(1, r_max + 1) for n in range(n_max + 1)
+    )
+    written = io.BytesIO()
+    build_table(r_max, n_max, s).write_csv(written)
+    monkeypatch.setattr(cr_sum, "_BLOCK_CELLS", block)
+    blocks = []
+    sieve_rows = cr_sum._sieve_rows
+
+    def spy(r_values, n, s):
+        blocks.append(sieve_rows(r_values, n, s))
+        return blocks[-1]
+
+    monkeypatch.setattr(cr_sum, "_sieve_rows", spy)
+    streamed = io.BytesIO()
+    cr_sum._stream_table_csv(streamed, r_max, n_max, s)
+    assert streamed.getvalue() == written.getvalue() == expected.encode()
+    assert len(blocks) > 1 and sum(len(b) for b in blocks) == r_max
+    path = tmp_path / "t.csv"
+    assert cli_main(["table", "--r", str(r_max), "--n", str(n_max), "--s", str(s), "--out", str(path)]) == 0
+    assert path.read_bytes() == streamed.getvalue()
+    assert len(blocks[-1]) == 1
+    if s == 17:
+        assert {b.dtype for b in blocks} == {np.dtype(np.int64), np.dtype(object)}
+
+
+class _ByteCounter:
+    """A binary sink that keeps only the number of bytes written."""
+
+    def __init__(self) -> None:
+        self.size = 0
+
+    def write(self, data: bytes) -> None:
+        self.size += len(data)
+
+
+def _streaming_peak(r_max: int, n_max: int, s: int) -> tuple[int, int]:
+    """(tracemalloc peak bytes, CSV bytes) of streaming one table into a byte counter."""
+    sink = _ByteCounter()
+    tracemalloc.start()
+    try:
+        cr_sum._stream_table_csv(sink, r_max, n_max, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, sink.size
+
+
+def test_streamed_table_memory_is_one_block():
+    # tracemalloc tracks numpy buffers, so the peak counts the sieved block
+    block_bytes = cr_sum._BLOCK_CELLS * 8
+    small, small_size = _streaming_peak(30, 20000, 2)
+    large, large_size = _streaming_peak(300, 20000, 2)
+    assert large_size > 60 * 10**6 and large_size > 9 * small_size
+    assert abs(large - small) < block_bytes
+    assert max(small, large) < 3 * block_bytes
 
 
 def test_cr_values_fixed_n_matches_exact():

@@ -251,6 +251,17 @@ def test_mean_value_object_grid_matches_loop_oracle():
     assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
+def test_mean_value_rows_in_blocks_match_loop_oracle(monkeypatch):
+    # 301 cells a row and 700-cell blocks: (2, 20) in int64, (30, 1) in
+    # object cells (30**13 * 5 >= 2**63), then 7 alone in int64
+    monkeypatch.setattr(cr_sum, "_BLOCK_CELLS", 700)
+    f_values = [0.0] + [(-1.0) ** n * n / 7 for n in range(1, 301)]
+    r_values = (2, 20, 30, 1, 7)
+    got = mean_value_coefficients(np.array(f_values), r_values, 13)
+    expected = [_oracle_mean_value(f_values, r, 13) for r in r_values]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
 def test_is_period_exact():
     assert is_period_exact(2, 2, 16)
     assert not is_period_exact(2, 2, 15)
