@@ -27,13 +27,15 @@ from .core_arith import (  # HDecomposition and decompose_h are re-exported
 )
 from .cr_sum import (
     MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
-    _divisor_power_sieve,
+    _cr_values_at_root,
+    _dirichlet_sieve,
     _exact_matmul,
     _power_row,
+    _root_part,
     _running_sums,
     _sieve_rows,
+    _weighted_sum,
     cr_sum_exact,
-    cr_values_fixed_n,
 )
 from .expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
@@ -94,7 +96,7 @@ def theorem2_main(
     h: int,
     r_limit: int,
 ) -> float:
-    """Per-N multiplier sum_{r <= R} fhat(r) ghat(r) c_r^s(h).
+    """Per-N multiplier sum_{r <= R} fhat(r) ghat(r) c_r^s(h), added in ascending r.
 
     At h = 0 this equals theorem1_main exactly, because c_r^s(0) and
     Phi_s(r**s) are the same integers.
@@ -105,11 +107,9 @@ def theorem2_main(
     if r_limit == 0:
         return 0.0
     s = coeffs_f.s
-    c_at_h = cr_values_fixed_n(h, s, r_limit)
-    total = 0.0
-    for r in range(1, r_limit + 1):
-        total += coeffs_f.coeffs[r - 1] * coeffs_g.coeffs[r - 1] * c_at_h[r]
-    return total
+    c_at_h = _cr_values_at_root(_root_part(h, s), s, r_limit)
+    weights = np.array(coeffs_f.coeffs[:r_limit]) * np.array(coeffs_g.coeffs[:r_limit])
+    return _weighted_sum(weights, c_at_h)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def sigma_power_array(limit: int, x: float) -> np.ndarray:
     Every n receives its addends in ascending d, the addend order of
     sigma_real, so arr[n] == sigma_real(n, x) bit for bit.
     """
-    return _divisor_power_sieve(_power_row(limit, x))
+    return _dirichlet_sieve(_power_row(limit, x), None)
 
 
 def corollary_lhs(a: float, b: float, s: int, h: int, n_limit: int) -> float:
@@ -165,7 +165,7 @@ def _sigma_ratio_values(x: float, limit: int) -> np.ndarray:
     both the sieve and the elementwise division.
     """
     pw = _power_row(limit, x)
-    values = _divisor_power_sieve(pw)
+    values = _dirichlet_sieve(pw, None)
     values[1:] /= pw[1:]
     return values
 

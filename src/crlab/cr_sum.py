@@ -10,8 +10,13 @@ numpy stride sieve. Tables are read-only int64 (or object) grids; the
 `table` command sieves row blocks of about _BLOCK_CELLS cells and writes each
 block straight to CSV, so it holds one block and no per-cell Python int,
 however large the table is. Mean values sum the same row blocks.
-Orthogonality sums are exact integer Gram matrices of period rows. The float
-divisor-power sieve behind the sigma rows and tau(r) lives here too.
+Orthogonality sums are exact integer Gram matrices of period rows.
+
+Every divisor sum over a range of n is one Dirichlet convolution
+sum_{d | n} f(d) g(n/d), computed by one numpy sieve, _dirichlet_sieve: the
+float sigma rows (f = d**x, g = 1), tau(r) (f = g = 1), and the exact column
+c_r^s(n) over r at a fixed n (f = d**s on the d with d**s | n, g = mu, from
+the numpy Mobius row _mobius_row).
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .core_arith import (  # ResourceLimitError is re-exported
     factorize,
     is_power_free,
     mobius,
-    mobius_range,
 )
 
 # The exponential route costs O(r**s) per call; it exists for verification.
@@ -198,33 +202,72 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
 def _power_row(limit: int, x: float) -> np.ndarray:
     """pw[d] = float(d) ** x for d <= limit (slot 0 is 0.0).
 
-    Each power is a scalar float ** (libm pow), the same bits as sigma_real;
-    numpy's vectorized ** does not match them.
+    When x is a non-negative integer and limit**x <= 2**53, every power is an
+    integer that float64 holds exactly, so libm pow returns it exactly and the
+    row is built as exact int64 powers. Otherwise each power is a scalar
+    float ** (libm pow), the same bits as sigma_real; numpy's vectorized **
+    does not match them. A power past the float range, where pow would raise,
+    is refused before the row is built.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > MAX_SIGMA_LIMIT:
         raise ResourceLimitError(f"sigma row up to n = {limit} exceeds {MAX_SIGMA_LIMIT}")
+    if 0 <= x <= 53 and float(x).is_integer() and limit ** int(x) <= 2**53:
+        row = np.arange(limit + 1, dtype=np.int64) ** int(x)
+        row[0] = 0
+        return row.astype(np.float64)
+    try:
+        pow(float(limit), x)  # d**x grows with d when x > 0
+    except OverflowError:
+        raise ResourceLimitError(f"sigma row power {limit}**{x} exceeds the float range") from None
     powers = map(pow, map(float, range(1, limit + 1)), repeat(x))
     return np.fromiter(chain((0.0,), powers), dtype=np.float64, count=limit + 1)
 
 
-def _divisor_power_sieve(pw: np.ndarray) -> np.ndarray:
-    """arr[n] = sum of pw[d] over d | n, added in ascending d for every n.
+def _dirichlet_sieve(f: np.ndarray, g: np.ndarray | None) -> np.ndarray:
+    """out[n] = sum of f[d] * g[n // d] over d | n for n <= L = len(f) - 1, added in ascending d.
 
-    Divisors d <= isqrt(L) are added by stride. Each larger divisor is
-    d = n / m with m < d, so the cofactors m are taken in descending order,
-    each adding the slice pw[lo : L//m + 1] along the stride m.
+    g = None stands for g = 1, whose terms are the f[d] themselves, so no
+    product is formed. Slot 0 of f and g is unused and out[0] = 0; out has
+    f's dtype. Divisors d <= isqrt(L) are added by stride. Each larger divisor
+    is d = n / m with m < d, so the cofactors m are taken in descending order,
+    each adding f[lo : L//m + 1] * g[m] along the stride m. Terms with
+    f[d] = 0 or g[m] = 0 are skipped: every use sums integers or
+    non-negative floats, to which an added zero changes nothing.
     """
-    limit = len(pw) - 1
-    arr = np.zeros(limit + 1, dtype=np.float64)
+    limit = len(f) - 1
+    out = np.zeros_like(f)
     lo = math.isqrt(limit) + 1
     for d in range(1, lo):
-        arr[d::d] += pw[d]
+        if f[d]:
+            out[d::d] += f[d] if g is None else f[d] * g[1 : limit // d + 1]
     for m in range(limit // lo, 0, -1):
-        hi = limit // m
-        arr[m * lo : m * hi + 1 : m] += pw[lo : hi + 1]
-    return arr
+        if g is None or g[m]:
+            hi = limit // m
+            out[m * lo : m * hi + 1 : m] += f[lo : hi + 1] if g is None else f[lo : hi + 1] * g[m]
+    return out
+
+
+def _mobius_row(limit: int) -> np.ndarray:
+    """mu[n] for n <= limit as int64 (slot 0 is 0).
+
+    Each prime p <= isqrt(limit) negates mu along its multiples, zeroes it
+    along the multiples of p*p and multiplies into rad[n], the product of
+    the primes p <= isqrt(limit) that divide n. A squarefree n with
+    rad[n] < n has exactly one more prime factor, above isqrt(limit), which
+    negates mu[n] once more.
+    """
+    mu = np.ones(limit + 1, dtype=np.int64)
+    rad = np.ones(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if rad[p] == 1:  # no smaller prime divides p
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            rad[p::p] *= p
+    mu[rad < np.arange(limit + 1)] *= -1
+    mu[0] = 0
+    return mu
 
 
 def _running_sums(f: np.ndarray, g: np.ndarray, h: int, schedule: Sequence[int]) -> list[float]:
@@ -238,6 +281,32 @@ def _running_sums(f: np.ndarray, g: np.ndarray, h: int, schedule: Sequence[int])
     sums = np.multiply(f[1 : top + 1], g[1 + h : top + h + 1])
     np.cumsum(sums, out=sums)
     return [float(sums[n - 1]) + 0.0 for n in schedule]
+
+
+def _times(w: float, c: int) -> float:
+    """w * c as Python rounds it; past the float range of c, the exact product rounded once."""
+    try:
+        return w * c
+    except OverflowError:
+        return float(Fraction(w) * c)
+
+
+def _weighted_sum(weights: np.ndarray, column: np.ndarray) -> float:
+    """The loop `total += weights[i] * column[i + 1]` from 0.0, bit for bit.
+
+    weights is a nonempty float64 row and column an int64, float64 or object
+    row with slot 0 unused. Each term is Python's float * int: numpy converts
+    int64 to float64 with the same round-to-nearest, and an object column goes
+    through _times, so a c value past the float range gives its honest term.
+    np.cumsum adds in ascending order, and + 0.0 turns a leading -0.0 into
+    0.0, as in _running_sums.
+    """
+    column = column[1 : len(weights) + 1]
+    if column.dtype == object:
+        terms = np.array(list(map(_times, weights.tolist(), column.tolist())), dtype=np.float64)
+    else:
+        terms = weights * column
+    return float(np.cumsum(terms)[-1]) + 0.0
 
 
 def cr_sum_exact(r: int, n: int, s: int) -> int:
@@ -393,47 +462,46 @@ def orthogonality_value(r: int, d: int, t: int, s: int) -> Fraction:
 def cr_values_fixed_n(n: int, s: int, r_max: int) -> list[int]:
     """c_r^s(n) for every r = 1..r_max at a fixed argument, exactly.
 
-    Returned list is indexed by r with slot 0 unused. Sieved over the d
-    with d**s | n instead of per-r divisor scans.
-
-    This stays apart from _stride_sieve on purpose: it fills one column
-    (fixed n) by striding r over the multiples of d, while _stride_sieve
-    strides n within rows, and a one-column grid would pay a numpy call per
-    (d, q) term for a single cell each. It is cheap as it is: 0.04 s of
-    self time over a whole traced pass of the benchmark's numeric workload.
+    Returned list is indexed by r with slot 0 unused (0). One Dirichlet sieve
+    over r instead of per-r divisor scans; see _cr_values_at_root.
     """
     check_exponent(s)
     _check_r_n(1, n)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    # d**s | n iff d divides the "s-th root part" of n (0 for n = 0).
-    root_part = 0
-    if n:
-        root_part = 1
-        for p, e in factorize(n).factors:
-            root_part *= p ** (e // s)
-    return _cr_values_at_root(root_part, s, r_max)
+    return _cr_values_at_root(_root_part(n, s), s, r_max).tolist()
 
 
-def _cr_values_at_root(root_part: int, s: int, r_max: int) -> list[int]:
-    """cr_values_fixed_n for any n whose s-th root part is root_part.
+def _root_part(n: int, s: int) -> int:
+    """The s-th root part of n: the largest m with m**s | n, and 0 for n = 0.
 
-    That is the largest m with m**s | n, so d**s | n exactly when d | m; for
-    n = m**s it is m itself, which spares factorizing n.
+    d**s | n exactly when d | m, or for every d when n = 0.
     """
-    mu = mobius_range(r_max)
-    out = [0] * (r_max + 1)
+    if n == 0:
+        return 0
+    root_part = 1
+    for p, e in factorize(n).factors:
+        root_part *= p ** (e // s)
+    return root_part
+
+
+def _cr_values_at_root(root_part: int, s: int, r_max: int) -> np.ndarray:
+    """c_r^s(n) for r <= r_max (slot 0 is 0) at any n whose s-th root part is root_part.
+
+    The column is the Dirichlet convolution of f(d) = d**s, on the divisors d
+    of root_part (on every d when root_part = 0, that is n = 0), with mu. It
+    is exact: int64 while _grid_dtype(r_max, s) allows it, Python ints in an
+    object array otherwise. For n = m**s the root part is m itself, which
+    spares factorizing n.
+    """
+    dtype = _grid_dtype(r_max, s)
     if root_part == 0:
-        ds_candidates = range(1, r_max + 1)
+        f = np.arange(r_max + 1).astype(dtype) ** s
     else:
-        ds_candidates = [d for d in divisors(root_part) if d <= r_max]
-    for d in ds_candidates:
-        val = d**s
-        for r in range(d, r_max + 1, d):
-            m = mu[r // d]
-            if m:
-                out[r] += m * val
-    return out
+        ds = [d for d in divisors(root_part) if d <= r_max]
+        f = np.zeros(r_max + 1, dtype=dtype)
+        f[ds] = [d**s for d in ds]
+    return _dirichlet_sieve(f, _mobius_row(r_max).astype(dtype, copy=False))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,14 +11,15 @@ fhat(r) -> fhat(r) * c_r^s(h) / Phi_s(r**s).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, zeta
 from .cr_sum import (
-    _check_cells, _cr_values_at_root, _divisor_power_sieve, _running_sums, _sieved_rows,
-    cr_values_fixed_n,
+    _check_cells, _cr_values_at_root, _dirichlet_sieve, _root_part, _running_sums, _sieved_rows,
+    _weighted_sum,
 )
 
 PLAIN_N = "plain_n"
@@ -69,10 +70,25 @@ def sigma_expansion(k: int, s: int, r_max: int) -> ExpansionCoefficients:
         raise ResourceLimitError(f"series truncation R = {r_max} exceeds {MAX_SERIES_R}")
     z = zeta(k + 1)
     exp = (k + 1) * s
-    coeffs = tuple(z / r**exp for r in range(1, r_max + 1))
+    # z < 2, so z / r**exp rounds to 0.0 once r**exp >= 2**1076; those r**exp,
+    # which may be huge, are never formed.
+    nonzero = min(r_max, 2 ** -(-1076 // exp) - 1)
+    coeffs = tuple(_divide(z, r**exp) for r in range(1, nonzero + 1)) + (0.0,) * (r_max - nonzero)
     return ExpansionCoefficients(
         s=s, argument_mode=N_TO_S, coeffs=coeffs, provenance=f"closed_form_sigma(k={k})"
     )
+
+
+def _divide(z: float, q: int) -> float:
+    """z / q as Python rounds it; past the float range of q, the exact quotient rounded once.
+
+    Python refuses to convert such a q to float. The quotient is then below
+    2**-1023 and underflows honestly, to a subnormal or 0.0.
+    """
+    try:
+        return z / q
+    except OverflowError:
+        return float(Fraction(z) / q)
 
 
 def as_plain_n(family: ExpansionCoefficients) -> ExpansionCoefficients:
@@ -99,15 +115,11 @@ def evaluate(family: ExpansionCoefficients, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if not family.coeffs:
         return 0.0
-    if family.argument_mode == PLAIN_N:
-        c_values = cr_values_fixed_n(n, family.s, len(family.coeffs))
-    else:
-        # c_r^s(n**s): the s-th root part of n**s is n, so n**s is never factorized.
-        c_values = _cr_values_at_root(n, family.s, len(family.coeffs))
-    total = 0.0
-    for i, coef in enumerate(family.coeffs):
-        total += coef * c_values[i + 1]
-    return total
+    # In n_to_s mode the argument is n**s, whose s-th root part is n: n**s is
+    # never factorized.
+    root_part = _root_part(n, family.s) if family.argument_mode == PLAIN_N else n
+    c_values = _cr_values_at_root(root_part, family.s, len(family.coeffs))
+    return _weighted_sum(np.array(family.coeffs), c_values)
 
 
 def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: int) -> list[float]:
@@ -153,27 +165,30 @@ def shift_coefficients(family: ExpansionCoefficients, h: int) -> ExpansionCoeffi
         raise ValueError(f"h must be >= 0, got {h}")
     if not family.coeffs:
         return replace(family, provenance=f"shifted(h={h})")
-    r_max = len(family.coeffs)
-    c_at_h = cr_values_fixed_n(h, family.s, r_max)
+    r_max, s = len(family.coeffs), family.s
+    c_at_h = _cr_values_at_root(_root_part(h, s), s, r_max)[1:]
     # c_r^s(0) = Phi_s(r**s): one sieve instead of a factorization per r.
-    phi = cr_values_fixed_n(0, family.s, r_max)
-    shifted = tuple(
-        coef * (c_at_h[i + 1] / phi[i + 1]) for i, coef in enumerate(family.coeffs)
-    )
-    return replace(family, coeffs=shifted, provenance=f"shifted(h={h})")
+    phi = _cr_values_at_root(0, s, r_max)[1:]
+    if r_max**s <= 2**53:
+        # |c_r^s(h)| <= Phi_s(r**s) <= r**s convert to float64 exactly, so the
+        # float64 quotient is Python's correctly rounded int / int.
+        ratios = c_at_h / phi
+    else:
+        ratios = np.array([c / p for c, p in zip(c_at_h.tolist(), phi.tolist())])
+    shifted = np.array(family.coeffs) * ratios
+    return replace(family, coeffs=tuple(shifted.tolist()), provenance=f"shifted(h={h})")
 
 
 def tau_weighted_norm(family: ExpansionCoefficients) -> float:
     """sum_{r <= R} |fhat(r)| * tau(r), the absolute-convergence diagnostic.
 
-    tau(r) comes from one divisor sieve of ones (exact small integers in
-    float64) and the terms are added in ascending r.
+    tau(r) comes from one Dirichlet sieve of ones and the terms are added in
+    ascending r.
     """
-    tau = _divisor_power_sieve(np.ones(len(family.coeffs) + 1))
-    total = 0.0
-    for coef, t in zip(family.coeffs, tau[1:].tolist()):
-        total += abs(coef) * t
-    return total
+    if not family.coeffs:
+        return 0.0
+    tau = _dirichlet_sieve(np.ones(len(family.coeffs) + 1, dtype=np.int64), None)
+    return _weighted_sum(np.abs(family.coeffs), tau)
 
 
 def coefficients_to_csv_text(family: ExpansionCoefficients) -> str:

@@ -28,7 +28,7 @@ from crlab.asymptotics import (
     theorem2_main,
 )
 from crlab.core_arith import is_power_free, jordan_totient, sigma_real, zeta
-from crlab.cr_sum import ResourceLimitError, build_table, cr_sum_exact
+from crlab.cr_sum import ResourceLimitError, _power_row, build_table, cr_sum_exact
 from crlab.expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
 # zeta(3)**2 / zeta(6), frozen from a 30-digit mpmath evaluation
@@ -122,6 +122,25 @@ def test_theorem2_main_examples():
 # --- decompose_h -------------------------------------------------------------
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    f=st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60),
+    g=st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60),
+    s=st.sampled_from((1, 2, 3, 17)),
+    h=st.integers(min_value=0, max_value=3000),
+    cut=st.integers(min_value=0, max_value=60),
+)
+def test_theorem2_main_matches_scalar_loop_bitwise(f, g, s, h, cut):
+    # the loop theorem2_main replaced, on c values from cr_sum_exact
+    fam_f = ExpansionCoefficients(s=s, argument_mode="plain_n", coeffs=tuple(f), provenance="x")
+    fam_g = ExpansionCoefficients(s=s, argument_mode="plain_n", coeffs=tuple(g), provenance="x")
+    r_limit = min(cut, len(f), len(g))
+    total = 0.0
+    for r in range(1, r_limit + 1):
+        total += f[r - 1] * g[r - 1] * cr_sum_exact(r, h, s)
+    assert theorem2_main(fam_f, fam_g, h, r_limit).hex() == total.hex()
+
+
 def test_decompose_examples():
     d = decompose_h(12, 2)
     assert (d.m, d.k) == (2, 3)
@@ -213,6 +232,30 @@ def test_sigma_sieve_matches_sigma_real_bitwise(limit, x):
         expected = sigma_real(n, x)
         assert arr[n].hex() == expected.hex()
         assert ratios[n].hex() == (expected / float(n) ** x).hex()
+
+
+@pytest.mark.parametrize(
+    "x, limit",
+    [
+        (0, 1), (0.0, 3000), (1, 3000), (1.0, 3000), (2, 3000), (2.0, 3000),
+        # limit**x on both sides of 2**53 (the square root is past MAX_SIGMA_LIMIT)
+        (3.0, 208063), (3, 208064), (4, 9741), (4.0, 9742),
+        (20.0, 100),  # far past 2**53, where int64 powers would wrap
+        (2.5, 100), (-2.0, 100),
+    ],
+)
+def test_power_row_matches_scalar_pow_bitwise(x, limit):
+    # exact integer powers below 2**53 are what libm pow returns
+    expected = [0.0] + [float(d) ** x for d in range(1, limit + 1)]
+    assert [v.hex() for v in _power_row(limit, x).tolist()] == [v.hex() for v in expected]
+
+
+def test_power_row_past_the_float_range_is_refused():
+    assert _power_row(2, 1023.0)[2] == 2.0**1023
+    for limit, x in ((2, 1024.0), (1000, 400), (103, 5000.0)):
+        with pytest.raises(ResourceLimitError, match="float range"):
+            _power_row(limit, x)
+    assert _power_row(10, -400.0)[10] == 0.0  # underflow is not refused
 
 
 def test_sigma_rows_respect_budget():

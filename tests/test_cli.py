@@ -12,7 +12,7 @@ import pytest
 from crlab import asymptotics, cr_sum
 from crlab.asymptotics import MAX_SIGMA_LIMIT
 from crlab.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, parse_schedule
-from crlab.core_arith import jordan_totient, sigma_real
+from crlab.core_arith import jordan_totient, sigma_real, zeta
 from crlab.cr_sum import cr_sum_exact
 from crlab.expansion import MAX_SERIES_R
 
@@ -448,6 +448,41 @@ def test_series_commands_held_to_r_budget(capsys, argv):
     assert code == EXIT_RESOURCE
     assert "resource" in err and str(MAX_SERIES_R) in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # sigma_expansion's z / r**exp and evaluate's coef * c past the float range
+        (("expand", "--k", "1", "--s", "400", "--R", "50", "--n", "9223372036854775807"), EXIT_OK),
+        (("shift", "--k", "5000", "--s", "1", "--R", "50", "--h", "10000000"), EXIT_OK),
+        # the sigma row's 103**5000 (and 100**300) is past the float range
+        (("correlate", "--method", "t2", "--k", "5000", "--R", "30", "--s", "1", "--h", "3",
+          "--N", "10,100"), EXIT_RESOURCE),
+        (("correlate", "--method", "corollary", "--a", "300", "--b", "2", "--s", "1", "--h", "2",
+          "--N", "10,100"), EXIT_RESOURCE),
+        (("meanvalue", "--method", "sigma", "--k", "1", "--s", "400", "--N", "1000", "--R", "1"),
+         EXIT_RESOURCE),
+    ],
+    ids=["expand", "shift", "t2", "corollary", "meanvalue"],
+)
+def test_series_past_the_float_range_exit_cleanly(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    if expected == EXIT_RESOURCE:
+        assert "float range" in err and out == ""
+    else:
+        assert err == "" and out.startswith("r,coefficient\n")
+
+
+def test_shift_past_the_float_range_keeps_in_range_bits(capsys):
+    # only fhat(1) = zeta(5001) survives: every later z / r**5001 underflows
+    # to 0.0, signed by c_r(h) / phi(r)
+    code, out, _ = run_cli(capsys, "shift", "--k", "5000", "--s", "1", "--R", "50", "--h", "10000000")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[1] == f"1,{zeta(5001.0):.17g}"
+    assert {line.split(",")[1] for line in lines[2:]} == {"0", "-0"}
 
 
 # --- lemmas ------------------------------------------------------------------

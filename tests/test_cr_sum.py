@@ -8,12 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crlab import cr_sum
 from crlab.cli import main as cli_main
-from crlab.core_arith import divisors, gcd_s, jordan_totient, klee_phi, mobius, sigma_ks
+from crlab.core_arith import divisors, gcd_s, jordan_totient, klee_phi, mobius, mobius_range, sigma_ks
 from crlab.cr_sum import (
     EXPONENTIAL_ROUTE_LIMIT,
     CRSumTable,
@@ -353,9 +353,9 @@ def test_sieve_rows_cost_follows_the_rows_asked_for(monkeypatch):
     # each row's terms come from factorize(r), so no Mobius table up to the
     # largest r is built and a large or prime r costs 2**omega(r) strides
     def no_table(limit):
-        raise AssertionError(f"mobius_range({limit}) built for a few asked rows")
+        raise AssertionError(f"_mobius_row({limit}) built for a few asked rows")
 
-    monkeypatch.setattr(cr_sum, "mobius_range", no_table)
+    monkeypatch.setattr(cr_sum, "_mobius_row", no_table)
     # unsorted, with a repeat: row i belongs to r_values[i]
     r_values = [10**9 + 7, 1, 2**20, 2 * 3 * 5 * 7 * 11 * 13, 10**6, 2 * 3 * 5 * 7 * 11 * 13]
     for r in set(r_values):
@@ -455,6 +455,58 @@ def test_cr_values_fixed_n_matches_exact():
             values = cr_values_fixed_n(n, s, 60)
             for r in range(1, 61):
                 assert values[r] == cr_sum_exact(r, n, s)
+
+
+@st.composite
+def fixed_n_cases(draw):
+    """(n, s, r_max) with n = 0 or n = m**s * k, so the root part is m, which
+    often has divisors above r_max: k < 2**s is s-th power free. n stays
+    below 2**62, in the factorize domain. s = 17 and 30 put r_max >= 12 and
+    r_max >= 5 on the object path, where r_max**s * (bits + 1) >= 2**63."""
+    s = draw(st.sampled_from((1, 2, 3, 4, 17, 30)))
+    r_max = draw(st.integers(min_value=1, max_value=60))
+    m = draw(st.integers(min_value=1, max_value=min(10**4, 2 ** (60 // s))))
+    k = draw(st.integers(min_value=1, max_value=min(2**s - 1, 2**62 // m**s)))
+    n = draw(st.sampled_from((0, m**s * k)))
+    return n, s, r_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_n_cases())
+@example((0, 1, 1))
+@example((5, 3, 1))
+@example((231**4 * 5, 4, 60))  # the root part 231 has divisors 77 and 231 above r_max
+@example((0, 17, 60))
+@example((6**17 * 5, 17, 40))
+def test_cr_values_fixed_n_sieve_matches_exact(case):
+    n, s, r_max = case
+    values = cr_values_fixed_n(n, s, r_max)
+    assert values == [0] + [cr_sum_exact(r, n, s) for r in range(1, r_max + 1)]
+    assert all(type(v) is int for v in values)
+    column = cr_sum._cr_values_at_root(cr_sum._root_part(n, s), s, r_max)
+    assert column.dtype == cr_sum._grid_dtype(r_max, s)
+
+
+def test_cr_values_object_column_holds_values_past_int64():
+    column = cr_sum._cr_values_at_root(0, 30, 12)
+    assert column.dtype == object
+    assert column.tolist() == [0] + [jordan_totient(r, 30) for r in range(1, 13)]
+    assert column[12] > 2**63
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5000))
+@example(1)
+@example(4)
+@example(3481)  # 59**2: the last prime of the isqrt split, squared
+def test_mobius_row_matches_linear_sieve(limit):
+    mu = cr_sum._mobius_row(limit)
+    assert mu.dtype == np.int64
+    assert mu.tolist() == mobius_range(limit)
+
+
+def test_mobius_row_matches_sympy():
+    assert cr_sum._mobius_row(3000).tolist() == [0] + [int(sympy.mobius(n)) for n in range(1, 3001)]
 
 
 # --- power-free absorption ---------------------------------------------------

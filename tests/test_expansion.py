@@ -1,10 +1,11 @@
 """Tests for expansion families, evaluation, mean values, and shifts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crlab import cr_sum
@@ -158,6 +159,86 @@ def test_evaluate_n_to_s_beyond_factorization_bound():
     for n in (3, 12, 3**20 * 5, 2**32):
         expected = sum(coef * cr_sum_exact(r, n**2, 2) for r, coef in enumerate(fam.coeffs, start=1))
         assert evaluate(fam, n) == pytest.approx(expected, rel=1e-12)
+
+
+# Coefficient families for the loop oracles: signed floats, zeros of both signs.
+_COEFFS = st.lists(
+    st.one_of(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.sampled_from((0.0, -0.0, 5e-324)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=_COEFFS,
+    s=st.sampled_from((1, 2, 3, 4, 12)),
+    n=st.integers(min_value=1, max_value=5000),
+    mode=st.sampled_from(("plain_n", "n_to_s")),
+)
+def test_evaluate_and_tau_norm_match_scalar_loops_bitwise(coeffs, s, n, mode):
+    # the loops the array reductions replaced, on c values from cr_sum_exact and tau from factorize
+    family = ExpansionCoefficients(s=s, argument_mode=mode, coeffs=tuple(coeffs), provenance="x")
+    arg = n if mode == "plain_n" else n**s
+    total = norm = 0.0
+    for r, coef in enumerate(coeffs, start=1):
+        total += coef * cr_sum_exact(r, arg, s)
+        norm += abs(coef) * tau_s(r, 1)
+    assert evaluate(family, n).hex() == total.hex()
+    assert tau_weighted_norm(family).hex() == norm.hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=_COEFFS,
+    s=st.sampled_from((1, 2, 3, 4, 9, 12)),
+    h=st.one_of(st.integers(min_value=0, max_value=5000), st.sampled_from((720720, 2**40 * 3**9))),
+)
+@example(coeffs=[1.0] * 67, s=9, h=1)  # float64 division of c_67^9(1) by J_9(67) > 2**53 is off by an ulp
+def test_shift_coefficients_match_scalar_loop_bitwise(coeffs, s, h):
+    # s = 9 and 12 with r up to 80 pass r**s = 2**53, where the quotient stays Python's int / int
+    family = ExpansionCoefficients(s=s, argument_mode="plain_n", coeffs=tuple(coeffs), provenance="x")
+    expected = [
+        coef * (cr_sum_exact(r, h, s) / jordan_totient(r, s)) for r, coef in enumerate(coeffs, start=1)
+    ]
+    assert _hexes(shift_coefficients(family, h).coeffs) == _hexes(expected)
+
+
+def test_sigma_expansion_past_the_float_range_underflows_honestly():
+    # exp = 512: 3**512 converts to float, 4**512 = 2**1024 does not; the
+    # quotient at r = 4 is a subnormal and from r = 5 on it rounds to 0.0
+    z = zeta(2.0)
+    fam = sigma_expansion(1, 256, 6)
+    assert _hexes(fam.coeffs[:3]) == _hexes((z, z / 2**512, z / 3**512))
+    with pytest.raises(OverflowError):
+        z / 4**512
+    assert fam.coeffs[3] == float(Fraction(z) / 4**512) > 0.0
+    assert fam.coeffs[3] < 2.0**-1022
+    assert fam.coeffs[4:] == (0.0, 0.0)
+    # r**exp is never formed once the quotient must underflow
+    assert sigma_expansion(10**12, 1, 1000).coeffs[1:] == (0.0,) * 999
+
+
+def test_evaluate_terms_past_the_float_range_round_once():
+    # c_7^400(7**400) = J_400(7) = 7**400 - 1 is past the float range; the
+    # term is the exact product rounded once
+    c7 = 7**400 - 1
+    tiny = ExpansionCoefficients(s=400, argument_mode="n_to_s", coeffs=(0.0,) * 6 + (1e-300,), provenance="x")
+    assert evaluate(tiny, 7) == float(Fraction(1e-300) * c7)
+    n = 2**63 - 1  # = 7**2 * 73 * 127 * 337 * 92737 * 649657
+    fam = sigma_expansion(1, 400, 50)
+    total = 0.0
+    for r, coef in enumerate(fam.coeffs, start=1):
+        c = cr_sum_exact(r, n**400, 400)
+        total += float(Fraction(coef) * c) if abs(c) >= 2**1024 else coef * c
+    assert evaluate(fam, n).hex() == total.hex()
 
 
 # --- mean values -------------------------------------------------------------
