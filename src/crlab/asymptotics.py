@@ -27,11 +27,10 @@ from .core_arith import (  # HDecomposition and decompose_h are re-exported
 )
 from .cr_sum import (
     MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
-    _cr_values_at_root,
+    _cr_column,
     _dirichlet_sieve,
     _exact_matmul,
     _power_row,
-    _root_part,
     _running_sums,
     _sieve_rows,
     _weighted_sum,
@@ -81,13 +80,12 @@ def _check_family_pair(
 def theorem1_main(
     coeffs_f: ExpansionCoefficients, coeffs_g: ExpansionCoefficients, r_limit: int
 ) -> float:
-    """Per-N multiplier sum_{r <= R} fhat(r) ghat(r) Phi_s(r**s)."""
-    _check_family_pair(coeffs_f, coeffs_g, r_limit)
-    s = coeffs_f.s
-    total = 0.0
-    for r in range(1, r_limit + 1):
-        total += coeffs_f.coeffs[r - 1] * coeffs_g.coeffs[r - 1] * jordan_totient(r, s)
-    return total
+    """Per-N multiplier sum_{r <= R} fhat(r) ghat(r) Phi_s(r**s).
+
+    This is theorem2_main at h = 0, because c_r^s(0) and Phi_s(r**s) are the
+    same integers.
+    """
+    return theorem2_main(coeffs_f, coeffs_g, 0, r_limit)
 
 
 def theorem2_main(
@@ -96,18 +94,13 @@ def theorem2_main(
     h: int,
     r_limit: int,
 ) -> float:
-    """Per-N multiplier sum_{r <= R} fhat(r) ghat(r) c_r^s(h), added in ascending r.
-
-    At h = 0 this equals theorem1_main exactly, because c_r^s(0) and
-    Phi_s(r**s) are the same integers.
-    """
+    """Per-N multiplier sum_{r <= R} fhat(r) ghat(r) c_r^s(h), added in ascending r."""
     _check_family_pair(coeffs_f, coeffs_g, r_limit)
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
     if r_limit == 0:
         return 0.0
-    s = coeffs_f.s
-    c_at_h = _cr_values_at_root(_root_part(h, s), s, r_limit)
+    c_at_h = _cr_column(h, coeffs_f.s, r_limit)
     weights = np.array(coeffs_f.coeffs[:r_limit]) * np.array(coeffs_g.coeffs[:r_limit])
     return _weighted_sum(weights, c_at_h)
 

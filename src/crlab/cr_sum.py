@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -283,12 +284,17 @@ def _running_sums(f: np.ndarray, g: np.ndarray, h: int, schedule: Sequence[int])
     return [float(sums[n - 1]) + 0.0 for n in schedule]
 
 
-def _times(w: float, c: int) -> float:
-    """w * c as Python rounds it; past the float range of c, the exact product rounded once."""
+def _rounded(op: Callable[[float, int], float], x: float, n: int) -> float:
+    """op(x, n) for op * or / as Python rounds it, even where n is past the float range.
+
+    Python refuses to convert such an n to float; the exact op(Fraction(x), n)
+    is then rounded once, so a quotient underflows honestly to a subnormal or
+    0.0.
+    """
     try:
-        return w * c
+        return op(x, n)
     except OverflowError:
-        return float(Fraction(w) * c)
+        return float(op(Fraction(x), n))
 
 
 def _weighted_sum(weights: np.ndarray, column: np.ndarray) -> float:
@@ -297,13 +303,14 @@ def _weighted_sum(weights: np.ndarray, column: np.ndarray) -> float:
     weights is a nonempty float64 row and column an int64, float64 or object
     row with slot 0 unused. Each term is Python's float * int: numpy converts
     int64 to float64 with the same round-to-nearest, and an object column goes
-    through _times, so a c value past the float range gives its honest term.
+    through _rounded, so a c value past the float range gives its honest term.
     np.cumsum adds in ascending order, and + 0.0 turns a leading -0.0 into
     0.0, as in _running_sums.
     """
     column = column[1 : len(weights) + 1]
     if column.dtype == object:
-        terms = np.array(list(map(_times, weights.tolist(), column.tolist())), dtype=np.float64)
+        pairs = zip(weights.tolist(), column.tolist())
+        terms = np.array([_rounded(operator.mul, w, c) for w, c in pairs])
     else:
         terms = weights * column
     return float(np.cumsum(terms)[-1]) + 0.0
@@ -463,26 +470,27 @@ def cr_values_fixed_n(n: int, s: int, r_max: int) -> list[int]:
     """c_r^s(n) for every r = 1..r_max at a fixed argument, exactly.
 
     Returned list is indexed by r with slot 0 unused (0). One Dirichlet sieve
-    over r instead of per-r divisor scans; see _cr_values_at_root.
+    over r instead of per-r divisor scans; see _cr_column.
     """
     check_exponent(s)
     _check_r_n(1, n)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    return _cr_values_at_root(_root_part(n, s), s, r_max).tolist()
+    return _cr_column(n, s, r_max).tolist()
 
 
-def _root_part(n: int, s: int) -> int:
-    """The s-th root part of n: the largest m with m**s | n, and 0 for n = 0.
+def _cr_column(n: int, s: int, r_max: int) -> np.ndarray:
+    """c_r^s(n) for r <= r_max (slot 0 is 0) as an exact ndarray; see _cr_values_at_root.
 
+    The s-th root part of n is the largest m with m**s | n (0 for n = 0), so
     d**s | n exactly when d | m, or for every d when n = 0.
     """
-    if n == 0:
-        return 0
-    root_part = 1
-    for p, e in factorize(n).factors:
-        root_part *= p ** (e // s)
-    return root_part
+    root_part = 0
+    if n:
+        root_part = 1
+        for p, e in factorize(n).factors:
+            root_part *= p ** (e // s)
+    return _cr_values_at_root(root_part, s, r_max)
 
 
 def _cr_values_at_root(root_part: int, s: int, r_max: int) -> np.ndarray:

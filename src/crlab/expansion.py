@@ -10,16 +10,16 @@ fhat(r) -> fhat(r) * c_r^s(h) / Phi_s(r**s).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, zeta
 from .cr_sum import (
-    _check_cells, _cr_values_at_root, _dirichlet_sieve, _root_part, _running_sums, _sieved_rows,
-    _weighted_sum,
+    _check_cells, _cr_column, _cr_values_at_root, _dirichlet_sieve, _rounded, _running_sums,
+    _sieved_rows, _weighted_sum, cr_values_fixed_n,
 )
 
 PLAIN_N = "plain_n"
@@ -73,22 +73,11 @@ def sigma_expansion(k: int, s: int, r_max: int) -> ExpansionCoefficients:
     # z < 2, so z / r**exp rounds to 0.0 once r**exp >= 2**1076; those r**exp,
     # which may be huge, are never formed.
     nonzero = min(r_max, 2 ** -(-1076 // exp) - 1)
-    coeffs = tuple(_divide(z, r**exp) for r in range(1, nonzero + 1)) + (0.0,) * (r_max - nonzero)
+    quotients = (_rounded(operator.truediv, z, r**exp) for r in range(1, nonzero + 1))
+    coeffs = tuple(quotients) + (0.0,) * (r_max - nonzero)
     return ExpansionCoefficients(
         s=s, argument_mode=N_TO_S, coeffs=coeffs, provenance=f"closed_form_sigma(k={k})"
     )
-
-
-def _divide(z: float, q: int) -> float:
-    """z / q as Python rounds it; past the float range of q, the exact quotient rounded once.
-
-    Python refuses to convert such a q to float. The quotient is then below
-    2**-1023 and underflows honestly, to a subnormal or 0.0.
-    """
-    try:
-        return z / q
-    except OverflowError:
-        return float(Fraction(z) / q)
 
 
 def as_plain_n(family: ExpansionCoefficients) -> ExpansionCoefficients:
@@ -115,10 +104,12 @@ def evaluate(family: ExpansionCoefficients, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if not family.coeffs:
         return 0.0
-    # In n_to_s mode the argument is n**s, whose s-th root part is n: n**s is
-    # never factorized.
-    root_part = _root_part(n, family.s) if family.argument_mode == PLAIN_N else n
-    c_values = _cr_values_at_root(root_part, family.s, len(family.coeffs))
+    r_max, s = len(family.coeffs), family.s
+    if family.argument_mode == PLAIN_N:
+        c_values = _cr_column(n, s, r_max)
+    else:
+        # c_r^s(n**s): the s-th root part of n**s is n, so n**s is never factorized.
+        c_values = _cr_values_at_root(n, s, r_max)
     return _weighted_sum(np.array(family.coeffs), c_values)
 
 
@@ -165,18 +156,14 @@ def shift_coefficients(family: ExpansionCoefficients, h: int) -> ExpansionCoeffi
         raise ValueError(f"h must be >= 0, got {h}")
     if not family.coeffs:
         return replace(family, provenance=f"shifted(h={h})")
-    r_max, s = len(family.coeffs), family.s
-    c_at_h = _cr_values_at_root(_root_part(h, s), s, r_max)[1:]
+    r_max = len(family.coeffs)
+    c_at_h = cr_values_fixed_n(h, family.s, r_max)
     # c_r^s(0) = Phi_s(r**s): one sieve instead of a factorization per r.
-    phi = _cr_values_at_root(0, s, r_max)[1:]
-    if r_max**s <= 2**53:
-        # |c_r^s(h)| <= Phi_s(r**s) <= r**s convert to float64 exactly, so the
-        # float64 quotient is Python's correctly rounded int / int.
-        ratios = c_at_h / phi
-    else:
-        ratios = np.array([c / p for c, p in zip(c_at_h.tolist(), phi.tolist())])
-    shifted = np.array(family.coeffs) * ratios
-    return replace(family, coeffs=tuple(shifted.tolist()), provenance=f"shifted(h={h})")
+    phi = cr_values_fixed_n(0, family.s, r_max)
+    shifted = tuple(
+        coef * (c_at_h[i + 1] / phi[i + 1]) for i, coef in enumerate(family.coeffs)
+    )
+    return replace(family, coeffs=shifted, provenance=f"shifted(h={h})")
 
 
 def tau_weighted_norm(family: ExpansionCoefficients) -> float:

@@ -4,6 +4,8 @@ the lemma bound grids."""
 import functools
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,7 +95,24 @@ def test_theorem2_equals_theorem1_at_h_zero():
         ExpansionCoefficients(s=3, argument_mode="plain_n", coeffs=(0.5, -0.25, 0.125), provenance="x"),
     ]
     for fam in families:
-        assert theorem2_main(fam, fam, 0, fam.r_max) == theorem1_main(fam, fam, fam.r_max)
+        # the scalar loop over Phi_s(r**s) that theorem1_main replaced
+        total = 0.0
+        for r in range(1, fam.r_max + 1):
+            total += fam.coeffs[r - 1] * fam.coeffs[r - 1] * jordan_totient(r, fam.s)
+        t1 = theorem1_main(fam, fam, fam.r_max)
+        assert t1.hex() == theorem2_main(fam, fam, 0, fam.r_max).hex() == total.hex()
+
+
+def test_theorem1_main_past_the_float_range():
+    # J_400(r) passes 2**1024 from r = 6 on, where the scalar loop's float * int
+    # raised OverflowError; each term is now the exact product rounded once
+    f = ExpansionCoefficients(s=400, argument_mode="plain_n", coeffs=(1.0,) * 30, provenance="x")
+    g = replace(f, coeffs=(2.0**-1000,) * 30)
+    assert jordan_totient(6, 400) > 2**1024
+    total = 0.0
+    for r in range(1, 31):
+        total += float(Fraction(2.0**-1000) * jordan_totient(r, 400))
+    assert theorem1_main(f, g, 30).hex() == total.hex()
 
 
 def test_theorem2_main_examples():

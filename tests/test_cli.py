@@ -482,7 +482,7 @@ def test_shift_past_the_float_range_keeps_in_range_bits(capsys):
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[1] == f"1,{zeta(5001.0):.17g}"
-    assert {line.split(",")[1] for line in lines[2:]} == {"0", "-0"}
+    assert all(float(line.split(",")[1]) == 0.0 for line in lines[2:])
 
 
 # --- lemmas ------------------------------------------------------------------

@@ -483,7 +483,7 @@ def test_cr_values_fixed_n_sieve_matches_exact(case):
     values = cr_values_fixed_n(n, s, r_max)
     assert values == [0] + [cr_sum_exact(r, n, s) for r in range(1, r_max + 1)]
     assert all(type(v) is int for v in values)
-    column = cr_sum._cr_values_at_root(cr_sum._root_part(n, s), s, r_max)
+    column = cr_sum._cr_column(n, s, r_max)
     assert column.dtype == cr_sum._grid_dtype(r_max, s)
 
 

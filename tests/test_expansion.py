@@ -203,7 +203,8 @@ def test_evaluate_and_tau_norm_match_scalar_loops_bitwise(coeffs, s, n, mode):
 )
 @example(coeffs=[1.0] * 67, s=9, h=1)  # float64 division of c_67^9(1) by J_9(67) > 2**53 is off by an ulp
 def test_shift_coefficients_match_scalar_loop_bitwise(coeffs, s, h):
-    # s = 9 and 12 with r up to 80 pass r**s = 2**53, where the quotient stays Python's int / int
+    # s = 9 and 12 with r up to 80 pass r**s = 2**53, past which a float64
+    # division of the two ints would no longer be Python's int / int
     family = ExpansionCoefficients(s=s, argument_mode="plain_n", coeffs=tuple(coeffs), provenance="x")
     expected = [
         coef * (cr_sum_exact(r, h, s) / jordan_totient(r, s)) for r, coef in enumerate(coeffs, start=1)
