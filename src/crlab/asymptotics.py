@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .core_arith import (  # HDecomposition and decompose_h are re-exported
     ResourceLimitError,
     check_exponent,
     decompose_h,
-    jordan_totient,
     sigma_real,
     tau_s,
     zeta,
@@ -34,15 +34,17 @@ from .cr_sum import (
     _running_sums,
     _sieve_rows,
     _weighted_sum,
-    cr_sum_exact,
 )
 from .expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4")
 
-# Largest lemma grid, in points. Each point becomes a report entry and a
-# line of output, several hundred bytes in all.
+# Largest lemma grid, in points. Each point holds a slot in seven report
+# columns and a line of output, a few hundred bytes in all.
 MAX_LEMMA_POINTS = 1_000_000
+
+# Lemma report points formatted per block of text.
+_TEXT_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +222,7 @@ class CorrelationConfig:
                 raise ValueError("t1 compares equal arguments; h must be 0")
 
 
-@dataclass(frozen=True)
-class CorrelationRecord:
+class CorrelationRecord(NamedTuple):
     n_limit: int
     lhs: float
     main_term: float
@@ -239,24 +240,13 @@ class CorrelationReport:
 
     def to_json_text(self) -> str:
         params = ",".join(f'"{key}":{_json_number(val)}' for key, val in self.params)
-        records = ",".join(
-            '{"N":%d,"lhs":%s,"main_term":%s,"ratio":%s}'
-            % (rec.n_limit, _fmt17(rec.lhs), _fmt17(rec.main_term), _fmt17(rec.ratio))
-            for rec in self.records
-        )
+        record = '{"N":%d,"lhs":%.17g,"main_term":%.17g,"ratio":%.17g}'
+        records = ",".join(map(record.__mod__, self.records))
         return '{"theorem":"%s","params":{%s},"records":[%s]}\n' % (self.theorem, params, records)
 
     def to_csv_text(self) -> str:
-        lines = ["N,lhs,main_term,ratio"]
-        lines.extend(
-            f"{rec.n_limit},{_fmt17(rec.lhs)},{_fmt17(rec.main_term)},{_fmt17(rec.ratio)}"
-            for rec in self.records
-        )
-        return "\n".join(lines) + "\n"
-
-
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
+        record = "%d,%.17g,%.17g,%.17g\n"
+        return "N,lhs,main_term,ratio\n" + "".join(map(record.__mod__, self.records))
 
 
 def _json_number(value: float | int) -> str:
@@ -264,7 +254,7 @@ def _json_number(value: float | int) -> str:
         raise TypeError("booleans are not report numbers")
     if isinstance(value, int):
         return str(value)
-    return _fmt17(value)
+    return "%.17g" % value
 
 
 def run_correlation_report(config: CorrelationConfig) -> CorrelationReport:
@@ -326,8 +316,7 @@ def run_correlation_report(config: CorrelationConfig) -> CorrelationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaEntry:
+class LemmaEntry(NamedTuple):
     r: int
     k: int
     s: int
@@ -339,42 +328,66 @@ class LemmaEntry:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LemmaCheckReport:
+    """One lemma grid at one (s, h) as columns with a slot per point; points run r, then k, then N.
+
+    r, k and n_limit are int columns, measured, bound and normalized float64, passed bool.
+    """
+
     lemma_id: str
-    entries: tuple[LemmaEntry, ...]
-    max_normalized: float
-    all_pass: bool
+    s: int
+    h: int
+    r: np.ndarray
+    k: np.ndarray
+    n_limit: np.ndarray
+    measured: np.ndarray
+    bound: np.ndarray
+    normalized: np.ndarray
+    passed: np.ndarray
+
+    @property
+    def max_normalized(self) -> float:
+        return float(self.normalized.max())
+
+    @property
+    def all_pass(self) -> bool:
+        return bool(self.passed.all())
+
+    @property
+    def entries(self) -> tuple[LemmaEntry, ...]:
+        """The points as LemmaEntry tuples, built on each access."""
+        points = zip(self._rows(0, None), self.passed.tolist())
+        return tuple(LemmaEntry(*row, passed) for row, passed in points)
+
+    def _rows(self, lo: int, hi: int | None) -> Iterator[tuple]:
+        """(r, k, s, h, N, measured, bound, normalized) of the points lo:hi, as Python values."""
+        columns = (self.r, self.k, self.n_limit, self.measured, self.bound, self.normalized)
+        r, k, n, *floats = (column[lo:hi].tolist() for column in columns)
+        return zip(r, k, repeat(self.s), repeat(self.h), n, *floats)
+
+    def _join(self, point: str, sep: str) -> str:
+        """sep.join of point % row over the rows, formatted _TEXT_BLOCK rows at a time."""
+        blocks = (self._rows(lo, lo + _TEXT_BLOCK) for lo in range(0, len(self.r), _TEXT_BLOCK))
+        return sep.join(sep.join(map(point.__mod__, rows)) for rows in blocks)
 
     def to_json_text(self) -> str:
-        grid = ",".join(
-            '{"r":%d,"k":%d,"s":%d,"h":%d,"N":%d,"measured":%s,"bound":%s,"normalized":%s}'
-            % (
-                e.r,
-                e.k,
-                e.s,
-                e.h,
-                e.n_limit,
-                _fmt17(e.measured),
-                _fmt17(e.bound),
-                _fmt17(e.normalized),
-            )
-            for e in self.entries
-        )
-        return '{"lemma":"%s","grid":[%s],"max_normalized":%s}\n' % (
-            self.lemma_id,
-            grid,
-            _fmt17(self.max_normalized),
-        )
+        point = '{"r":%d,"k":%d,"s":%d,"h":%d,"N":%d,"measured":%.17g,"bound":%.17g,'
+        grid = self._join(point + '"normalized":%.17g}', ",")
+        text = '{"lemma":"%s","grid":[%s],"max_normalized":%.17g}\n'
+        return text % (self.lemma_id, grid, self.max_normalized)
 
     def to_csv_text(self) -> str:
-        lines = ["r,k,s,h,N,measured,bound,normalized"]
-        lines.extend(
-            f"{e.r},{e.k},{e.s},{e.h},{e.n_limit},"
-            f"{_fmt17(e.measured)},{_fmt17(e.bound)},{_fmt17(e.normalized)}"
-            for e in self.entries
-        )
-        return "\n".join(lines) + "\n"
+        grid = self._join("%d,%d,%d,%d,%d,%.17g,%.17g,%.17g\n", "")
+        return "r,k,s,h,N,measured,bound,normalized\n" + grid
+
+
+def _float_column(exact: np.ndarray, lemma_id: str, what: str) -> np.ndarray:
+    """exact as float64, rounded as float(int) rounds; a value past the float range is refused."""
+    try:
+        return exact.astype(np.float64)
+    except OverflowError:
+        raise ResourceLimitError(f"{lemma_id} {what} exceeds the float range") from None
 
 
 def lemma_check(
@@ -387,7 +400,7 @@ def lemma_check(
 ) -> LemmaCheckReport:
     """Check one product-sum lemma on the grid r_values x k_values x n_values at one (s, h).
 
-    Entries run r, then k, then N, each in the order given.
+    Points run r, then k, then N, each in the order given.
     L1: sum c_r(n) c_k(n) <= N tau_s(r**s) tau_s(k**s) (r**s, k**s)_s, no shift.
     L2: deviation of the shifted sum from delta_{r,k} N c_r^s(h), normalized
         by r**s k**s ln(r**s k**s); reported, never asserted (the pair
@@ -395,12 +408,15 @@ def lemma_check(
     L3: |shifted sum| <= sqrt(N) sqrt(N+h) sqrt(r**s k**s) tau_s(r**s) tau_s(k**s).
     L4: shifted sum <= 2 N Phi_s(r**s) tau(k), requiring h <= N.
 
-    Grids beyond MAX_LEMMA_POINTS are rejected before anything is sieved.
+    Grids beyond MAX_LEMMA_POINTS, L1 bounds and L2/L3 scales r**s k**s past
+    the float range are rejected before anything is sieved (L4 bounds once
+    the rows give Phi_s(r**s) = c_r^s(0)).
     One sieve holds the rows of the r and k values; with A the r rows and B
     the k rows, every sum_{n<=N} c_r^s(n) c_k^s(n + h) up to N is an entry of
     A[:, 1:N+1] @ B[:, 1+h:N+h+1].T, added block by block between
     consecutive N. |c_r^s| <= J_s(r) <= r**s bounds every partial sum by
-    N r**s k**s, which picks int64 or exact Python ints.
+    N r**s k**s, which picks int64 or exact Python ints. Exact bounds stay
+    ints and each float column follows the operation order of the formulas.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"lemma_id must be one of {LEMMA_IDS}, got {lemma_id!r}")
@@ -425,73 +441,55 @@ def lemma_check(
         first = next(n for n in n_values if n < h)
         raise ValueError(f"L4 requires h <= N, got h={h}, N={first}")
 
+    # point p is (r_values[ri[p]], k_values[ki[p]], n_values[ni[p]])
+    r_axis, k_axis, n_axis = np.array(r_values), np.array(k_values), np.array(n_values)
+    points = np.indices((len(r_values), len(k_values), len(n_values))).reshape(3, -1)
+    if skip_unit:
+        points = points[:, (r_axis[points[0]] > 1) | (k_axis[points[1]] > 1)]
+    ri, ki, ni = points
+    r, k, n = r_axis[ri], k_axis[ki], n_axis[ni]
     values = sorted({*r_values, *k_values})
-    row_of = {v: i for i, v in enumerate(values)}
-    rows = _sieve_rows(values, max(n_values) + h, s)
-    a = rows[[row_of[r] for r in r_values]]
-    b = rows[[row_of[k] for k in k_values]]
-    bound = max(n_values) * max(r_values) ** s * max(k_values) ** s
-    sums, total, prev = {}, 0, 0
-    for n in sorted(set(n_values)):
-        block_a, block_b = a[:, prev + 1 : n + 1], b[:, prev + 1 + h : n + h + 1]
-        total = total + _exact_matmul(block_a, block_b.T, bound)
-        sums[n] = total.tolist()
-        prev = n
-
+    r_row, k_row = np.searchsorted(values, r_axis), np.searchsorted(values, k_axis)
     # tau_s(r**s, s) = tau(r) and (r**s, k**s)_s = gcd(r, k)**s: the L1 and
     # L3 bounds never factorize r**s, which may pass the factorize limit.
-    tau = {v: tau_s(v, 1) for v in values}
+    tau = np.array([tau_s(v, 1) for v in values])
+    tau_r, tau_k = tau[r_row][ri], tau[k_row][ki]
+    if lemma_id == "L1":
+        gcd_power = np.gcd.outer(r_axis, k_axis).astype(object) ** s
+        exact_bound = gcd_power[ri, ki] * n * tau_r * tau_k
+        bound = _float_column(exact_bound, lemma_id, "bound")
+    elif lemma_id in ("L2", "L3"):
+        rk = np.multiply.outer(r_axis.astype(object) ** s, k_axis.astype(object) ** s)
+        rk_float = _float_column(rk, lemma_id, "scale r**s k**s")
+        if lemma_id == "L2":
+            logs = np.array([math.log(x) for x in rk.flat]).reshape(rk.shape)
+            with np.errstate(over="ignore"):  # as in Python, a scale past the float range is inf
+                bound = (rk_float * logs)[ri, ki]
+        else:
+            bound = np.sqrt(n) * np.sqrt(n + h) * np.sqrt(rk_float)[ri, ki] * tau_r * tau_k
 
-    def check_point(r: int, k: int, n: int, total: int) -> LemmaEntry:
-        rs = r**s
-        ks = k**s
-        if lemma_id == "L1":
-            bound = n * tau[r] * tau[k] * math.gcd(r, k) ** s
-            measured = float(total)
-            passed = total <= bound
-            normalized = measured / bound
-            bound_f = float(bound)
-        elif lemma_id == "L2":
-            main = n * cr_sum_exact(r, h, s) if r == k else 0
-            deviation = abs(total - main)
-            scale = rs * ks * math.log(rs * ks)
-            measured = float(deviation)
-            bound_f = scale
-            normalized = deviation / scale
-            passed = True
-        elif lemma_id == "L3":
-            bound_f = math.sqrt(n) * math.sqrt(n + h) * math.sqrt(rs * ks) * tau[r] * tau[k]
-            measured = float(abs(total))
-            passed = measured <= bound_f
-            normalized = measured / bound_f
-        else:  # L4
-            bound = 2 * n * jordan_totient(r, s) * tau[k]
-            measured = float(total)
-            passed = total <= bound
-            normalized = measured / bound
-            bound_f = float(bound)
-        return LemmaEntry(
-            r=r,
-            k=k,
-            s=s,
-            h=h,
-            n_limit=n,
-            measured=measured,
-            bound=bound_f,
-            normalized=normalized,
-            passed=passed,
-        )
+    rows = _sieve_rows(values, max(n_values) + h, s)
+    a, b = rows[r_row], rows[k_row]
+    cap = max(n_values) * max(r_values) ** s * max(k_values) ** s
+    tops = sorted(set(n_values))
+    blocks, total, prev = [], 0, 0
+    for top in tops:
+        block_a, block_b = a[:, prev + 1 : top + 1], b[:, prev + 1 + h : top + h + 1]
+        total = total + _exact_matmul(block_a, block_b.T, cap)
+        blocks.append(total)
+        prev = top
+    sums = np.stack(blocks, axis=-1)[ri, ki, np.searchsorted(tops, n_axis)[ni]]
 
-    entries = [
-        check_point(r, k, n, sums[n][i][j])
-        for i, r in enumerate(r_values)
-        for j, k in enumerate(k_values)
-        if not (skip_unit and r == k == 1)
-        for n in n_values
-    ]
-    return LemmaCheckReport(
-        lemma_id=lemma_id,
-        entries=tuple(entries),
-        max_normalized=max(e.normalized for e in entries),
-        all_pass=all(e.passed for e in entries),
-    )
+    if lemma_id == "L2":  # c_r^s(h) is read from the rows at n = h
+        sums = abs(sums - np.where(r == k, a[ri, h].astype(object) * n, 0))
+    elif lemma_id == "L3":
+        sums = abs(sums)
+    elif lemma_id == "L4":  # Phi_s(r**s) = c_r^s(0) is read from the rows at n = 0
+        exact_bound = a[ri, 0].astype(object) * 2 * n * tau_k
+        bound = _float_column(exact_bound, lemma_id, "bound")
+    measured = _float_column(sums, lemma_id, "sum")
+    if lemma_id == "L2":
+        passed = np.ones(len(measured), dtype=bool)
+    else:
+        passed = measured <= bound if lemma_id == "L3" else sums <= exact_bound
+    return LemmaCheckReport(lemma_id, s, h, r, k, n, measured, bound, measured / bound, passed)

@@ -133,7 +133,9 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     _check_cells(len(r_values), n_limit)
     rows = _sieved_rows(r_values, n_limit, s)
     sums = (_running_sums(f_values, row, 0, (n_limit,))[0] for row in rows)
-    return [total / n_limit / jordan_totient(r, s) for r, total in zip(r_values, sums)]
+    # Python's division even past the float range; + 0.0 turns an underflowed -0.0 into 0.0
+    means = zip(r_values, (total / n_limit for total in sums))
+    return [_rounded(operator.truediv, m, jordan_totient(r, s)) + 0.0 for r, m in means]
 
 
 def is_period_exact(r: int, s: int, n_limit: int) -> bool:
@@ -160,8 +162,9 @@ def shift_coefficients(family: ExpansionCoefficients, h: int) -> ExpansionCoeffi
     c_at_h = cr_values_fixed_n(h, family.s, r_max)
     # c_r^s(0) = Phi_s(r**s): one sieve instead of a factorization per r.
     phi = cr_values_fixed_n(0, family.s, r_max)
+    # + 0.0 turns a product that underflowed to -0.0 into 0.0; other bits stay.
     shifted = tuple(
-        coef * (c_at_h[i + 1] / phi[i + 1]) for i, coef in enumerate(family.coeffs)
+        coef * (c_at_h[i + 1] / phi[i + 1]) + 0.0 for i, coef in enumerate(family.coeffs)
     )
     return replace(family, coeffs=shifted, provenance=f"shifted(h={h})")
 
@@ -180,9 +183,7 @@ def tau_weighted_norm(family: ExpansionCoefficients) -> float:
 
 def coefficients_to_csv_text(family: ExpansionCoefficients) -> str:
     """CSV export: header r,coefficient; floats at 17 significant digits."""
-    lines = ["r,coefficient"]
-    lines.extend(f"{i + 1},{coef:.17g}" for i, coef in enumerate(family.coeffs))
-    return "\n".join(lines) + "\n"
+    return "r,coefficient\n" + "".join(map("%d,%.17g\n".__mod__, enumerate(family.coeffs, 1)))
 
 
 def coefficients_from_csv_text(

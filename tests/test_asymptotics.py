@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crlab import asymptotics
@@ -29,7 +29,7 @@ from crlab.asymptotics import (
     theorem1_main,
     theorem2_main,
 )
-from crlab.core_arith import is_power_free, jordan_totient, sigma_real, zeta
+from crlab.core_arith import is_power_free, jordan_totient, sigma_real, tau_s, zeta
 from crlab.cr_sum import ResourceLimitError, _power_row, build_table, cr_sum_exact
 from crlab.expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
@@ -620,3 +620,98 @@ def test_lemma_bounds_past_factorize_limit():
     _assert_measured_matches_oracle("L1", *axes, s, 0, (10, 20))
     for h in (0, 3):
         _assert_measured_matches_oracle("L3", *axes, s, h, (10, 20))
+
+
+def _scalar_point(lemma_id: str, r: int, k: int, s: int, h: int, n: int, total: int):
+    # oracle: the per-point arithmetic lemma_check ran before its report became
+    # columns, on Python ints and floats, one point at a time
+    tau_r, tau_k = tau_s(r, 1), tau_s(k, 1)
+    rs, ks = r**s, k**s
+    if lemma_id == "L1":
+        bound = n * tau_r * tau_k * math.gcd(r, k) ** s
+        measured = float(total)
+        return measured, float(bound), measured / bound, total <= bound
+    if lemma_id == "L2":
+        main = n * cr_sum_exact(r, h, s) if r == k else 0
+        deviation = abs(total - main)
+        scale = rs * ks * math.log(rs * ks)
+        return float(deviation), scale, deviation / scale, True
+    if lemma_id == "L3":
+        bound = math.sqrt(n) * math.sqrt(n + h) * math.sqrt(rs * ks) * tau_r * tau_k
+        measured = float(abs(total))
+        return measured, bound, measured / bound, measured <= bound
+    bound = 2 * n * jordan_totient(r, s) * tau_k
+    measured = float(total)
+    return measured, float(bound), measured / bound, total <= bound
+
+
+@st.composite
+def _lemma_column_grids(draw):
+    lemma_id = draw(st.sampled_from(asymptotics.LEMMA_IDS))
+    h = 0 if lemma_id == "L1" else draw(st.integers(min_value=0, max_value=9))
+    if draw(st.booleans()):
+        # s = 12 with r, k in {39, 40}: r**s passes 2**63, so rows and sums are Python ints
+        s, axis = 12, st.lists(st.sampled_from((39, 40)), min_size=1, max_size=3)
+    else:
+        s = draw(st.integers(min_value=1, max_value=3))
+        value = st.one_of(st.just(1), st.integers(min_value=1, max_value=40))
+        axis = st.lists(value, min_size=1, max_size=4)
+    r_values, k_values = draw(axis), draw(axis)
+    if lemma_id == "L2" and set(r_values) == set(k_values) == {1}:
+        r_values.append(2)
+    n_values = draw(st.lists(st.integers(min_value=max(h, 1), max_value=120), min_size=1, max_size=3))
+    return lemma_id, r_values, k_values, s, h, n_values
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=_lemma_column_grids())
+@example(grid=("L2", [1, 2, 1], [1, 3], 1, 4, [9, 3, 9]))  # the unit pair skipped, twice
+@example(grid=("L3", [9, 1], [11, 1], 3, 0, [3, 1, 2]))  # sqrt(3) * sqrt(3) < 3 fails at r = k = 1
+@example(grid=("L4", [40, 39], [39, 40], 12, 5, [20, 10]))
+def test_lemma_columns_match_scalar_points_bitwise(grid):
+    # every column value against the old per-point arithmetic, floats by hex
+    lemma_id, r_values, k_values, s, h, n_values = grid
+    report = lemma_check(lemma_id, r_values, k_values, s, h, n_values)
+    points = [
+        (r, k, n)
+        for r in r_values
+        for k in k_values
+        if lemma_id != "L2" or r * k > 1
+        for n in n_values
+    ]
+    expected = [
+        _scalar_point(lemma_id, r, k, s, h, n, _exact_product_sum(r, k, s, h, n)) for r, k, n in points
+    ]
+    assert list(zip(report.r.tolist(), report.k.tolist(), report.n_limit.tolist())) == points
+    for column, i in ((report.measured, 0), (report.bound, 1), (report.normalized, 2)):
+        assert [x.hex() for x in column.tolist()] == [e[i].hex() for e in expected]
+    assert report.passed.dtype == bool
+    assert report.passed.tolist() == [e[3] for e in expected]
+
+
+@pytest.mark.parametrize(
+    "lemma_id, axis, s, h",
+    [("L1", 12, 400, 0), ("L2", 12, 400, 0), ("L3", 40, 100, 0), ("L3", 40, 100, 3)],
+)
+def test_lemma_grid_past_the_float_range_exits_before_sieving(monkeypatch, lemma_id, axis, s, h):
+    # an L1 bound or an L2/L3 scale r**s k**s past the float range is refused
+    # before any row is sieved
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows sieved for a grid past the float range")
+
+    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
+    with pytest.raises(ResourceLimitError, match="float range"):
+        lemma_check(lemma_id, range(1, axis + 1), range(1, axis + 1), s, h, (10,))
+
+
+def test_lemma_l4_bound_past_the_float_range_is_refused():
+    # the L4 bound 2 N Phi_s(r**s) tau(k) needs Phi_s(r**s) from the rows
+    with pytest.raises(ResourceLimitError, match="float range"):
+        lemma_check("L4", range(1, 13), range(1, 13), 400, 3, (10,))
+
+
+def test_lemma_grid_just_inside_the_float_range():
+    # 40**192 < 2**1024 <= 40**200: s = 96 keeps every scale a float
+    report = lemma_check("L3", (39, 40), (40,), 96, 0, (10,))
+    assert report.all_pass
+    assert report.bound.tolist()[1] == math.sqrt(10) * math.sqrt(10) * math.sqrt(40**192) * 8 * 8

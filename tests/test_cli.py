@@ -5,6 +5,8 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -463,8 +465,19 @@ def test_series_commands_held_to_r_budget(capsys, argv):
           "--N", "10,100"), EXIT_RESOURCE),
         (("meanvalue", "--method", "sigma", "--k", "1", "--s", "400", "--N", "1000", "--R", "1"),
          EXIT_RESOURCE),
+        # r**s k**s past the float range: the L3 sqrt and the L2 scale
+        (("lemmas", "--which", "3", "--rmax", "40", "--kmax", "40", "--s", "100", "--N", "10"),
+         EXIT_RESOURCE),
+        (("lemmas", "--which", "2", "--rmax", "12", "--kmax", "12", "--s", "400", "--N", "10"),
+         EXIT_RESOURCE),
+        # f = c_200^400(n) leaves out slot 0, J_400(200), which is past the float range
+        (("meanvalue", "--method", "crsum", "--k", "200", "--s", "400", "--N", "1", "--R", "5"),
+         EXIT_OK),
+        # J_400(6) and J_400(7) are past it too: each mean is divided as Python ints divide
+        (("meanvalue", "--method", "one", "--s", "400", "--N", "3", "--R", "7"), EXIT_OK),
     ],
-    ids=["expand", "shift", "t2", "corollary", "meanvalue"],
+    ids=["expand", "shift", "t2", "corollary", "meanvalue", "L3", "L2", "meanvalue-crsum",
+         "meanvalue-one"],
 )
 def test_series_past_the_float_range_exit_cleanly(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
@@ -477,12 +490,23 @@ def test_series_past_the_float_range_exit_cleanly(capsys, argv, expected):
 
 def test_shift_past_the_float_range_keeps_in_range_bits(capsys):
     # only fhat(1) = zeta(5001) survives: every later z / r**5001 underflows
-    # to 0.0, signed by c_r(h) / phi(r)
+    # to 0.0, and a product with a negative c_r(h) / phi(r) is written as 0, not -0
     code, out, _ = run_cli(capsys, "shift", "--k", "5000", "--s", "1", "--R", "50", "--h", "10000000")
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[1] == f"1,{zeta(5001.0):.17g}"
     assert all(float(line.split(",")[1]) == 0.0 for line in lines[2:])
+    assert len(lines) == 51 and not any(line.endswith(",-0") for line in lines)
+
+
+def test_meanvalue_underflowed_mean_prints_zero(capsys):
+    # mean -1 over n <= 3 divided by J_400(7) > 2**1024 rounds to -0.0, written as 0
+    code, out, _ = run_cli(capsys, "meanvalue", "--method", "one", "--s", "400", "--N", "3", "--r", "7")
+    assert code == EXIT_OK
+    assert out == "0 (partial periods)\n"
+    code, out, _ = run_cli(capsys, "meanvalue", "--method", "one", "--s", "400", "--N", "3", "--r", "6")
+    assert code == EXIT_OK
+    assert out == f"{float(Fraction(1, jordan_totient(6, 400))):.6g} (partial periods)\n"
 
 
 # --- lemmas ------------------------------------------------------------------
@@ -530,6 +554,28 @@ def test_lemmas_l1_rejects_shift(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert json.loads(out)["lemma"] == "L1"
+
+
+def test_lemmas_failed_points_exit_one(tmp_path, capsys, monkeypatch):
+    # one point marked failed: the report is still written, the count goes to stderr
+    lemma_check = asymptotics.lemma_check
+
+    def one_failure(*args):
+        report = lemma_check(*args)
+        passed = report.passed.copy()
+        passed[4] = False
+        return replace(report, passed=passed)
+
+    monkeypatch.setattr(asymptotics, "lemma_check", one_failure)
+    path = tmp_path / "l3.json"
+    code, out, err = run_cli(
+        capsys, "lemmas", "--which", "3", "--rmax", "3", "--kmax", "3", "--s", "1",
+        "--h", "1", "--N", "50", "--out", str(path),
+    )
+    assert code == EXIT_ASSERTION
+    assert err == "L3: 1/9 grid points EXCEED bound\n"
+    assert out == ""
+    assert len(json.loads(path.read_text())["grid"]) == 9
 
 
 def test_lemmas_over_point_budget_exits_before_building(capsys, monkeypatch):
