@@ -12,6 +12,7 @@ from .core_arith import (
     Factorization,
     HDecomposition,
     ResourceLimitError,
+    cr_sum_exact,
     decompose_h,
     divisors,
     factorize,
@@ -34,7 +35,6 @@ _LAZY_EXPORTS = {
     "cr_sum": (
         "CRSumTable",
         "build_table",
-        "cr_sum_exact",
         "cr_sum_exponential",
         "cr_values_fixed_n",
         "orthogonality_grid",

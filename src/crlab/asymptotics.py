@@ -408,9 +408,9 @@ def lemma_check(
     L3: |shifted sum| <= sqrt(N) sqrt(N+h) sqrt(r**s k**s) tau_s(r**s) tau_s(k**s).
     L4: shifted sum <= 2 N Phi_s(r**s) tau(k), requiring h <= N.
 
-    Grids beyond MAX_LEMMA_POINTS, L1 bounds and L2/L3 scales r**s k**s past
-    the float range are rejected before anything is sieved (L4 bounds once
-    the rows give Phi_s(r**s) = c_r^s(0)).
+    Grids beyond MAX_LEMMA_POINTS, L1 bounds, L2/L3 scales r**s k**s and L2
+    scales r**s k**s ln(r**s k**s) past the float range are rejected before
+    anything is sieved (L4 bounds once the rows give Phi_s(r**s) = c_r^s(0)).
     One sieve holds the rows of the r and k values; with A the r rows and B
     the k rows, every sum_{n<=N} c_r^s(n) c_k^s(n + h) up to N is an entry of
     A[:, 1:N+1] @ B[:, 1+h:N+h+1].T, added block by block between
@@ -463,8 +463,10 @@ def lemma_check(
         rk_float = _float_column(rk, lemma_id, "scale r**s k**s")
         if lemma_id == "L2":
             logs = np.array([math.log(x) for x in rk.flat]).reshape(rk.shape)
-            with np.errstate(over="ignore"):  # as in Python, a scale past the float range is inf
+            with np.errstate(over="ignore"):
                 bound = (rk_float * logs)[ri, ki]
+            if not np.isfinite(bound).all():
+                raise ResourceLimitError("L2 scale r**s k**s ln(r**s k**s) exceeds the float range")
         else:
             bound = np.sqrt(n) * np.sqrt(n + h) * np.sqrt(rk_float)[ri, ki] * tau_r * tau_k
 
@@ -490,6 +492,15 @@ def lemma_check(
     measured = _float_column(sums, lemma_id, "sum")
     if lemma_id == "L2":
         passed = np.ones(len(measured), dtype=bool)
+    elif lemma_id == "L3":
+        # The exact test is sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2.
+        # measured and bound are each within a few ulps of the exact sides, so
+        # the float test decides it except at a near tie, which takes the ints.
+        passed = measured <= bound
+        tie = np.flatnonzero(np.abs(measured - bound) <= bound * 1e-12)
+        n_tie, tau_tie = n[tie].astype(object), tau_r[tie] * tau_k[tie]
+        square = n_tie * (n_tie + h) * rk[ri[tie], ki[tie]] * tau_tie**2
+        passed[tie] = sums[tie].astype(object) ** 2 <= square
     else:
-        passed = measured <= bound if lemma_id == "L3" else sums <= exact_bound
+        passed = sums <= exact_bound
     return LemmaCheckReport(lemma_id, s, h, r, k, n, measured, bound, measured / bound, passed)

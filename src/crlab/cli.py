@@ -6,8 +6,8 @@ parameter validation error, 3 output I/O error, 4 declared resource budget
 exceeded.
 
 Only the numpy-free core_arith is imported here at module level; each
-handler imports the modules it uses, so `--help` and `decompose` start
-without numpy.
+handler imports the modules it uses, so `--help`, `decompose` and
+`crsum --method exact` run without numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ import io
 import sys
 from typing import Sequence
 
-from .core_arith import ResourceLimitError, check_exponent, decompose_h, jordan_totient
+from .core_arith import (
+    ResourceLimitError,
+    _check_digits,
+    check_exponent,
+    cr_sum_exact,
+    decompose_h,
+    jordan_totient,
+)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -48,12 +55,12 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _cmd_crsum(args: argparse.Namespace) -> int:
-    from . import cr_sum
-
     if args.method in ("exact", "both"):
-        exact = cr_sum.cr_sum_exact(args.r, args.n, args.s)
-        cr_sum._check_digits(args.r, args.s, exact)
+        exact = cr_sum_exact(args.r, args.n, args.s)
+        _check_digits(args.r, args.s, exact)
     if args.method in ("exponential", "both"):
+        from . import cr_sum
+
         approx = cr_sum.cr_sum_exponential(args.r, args.n, args.s)
     if args.method == "exact":
         print(exact)

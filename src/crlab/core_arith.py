@@ -10,12 +10,14 @@ divisor sums).
 
 This module imports no numpy: it is the layer the command line starts on,
 and it also holds the pieces that the cheap commands share with the sieving
-modules (ResourceLimitError and the shift decomposition h = m**s * k).
+modules (ResourceLimitError, the shift decomposition h = m**s * k, and the
+exact scalar c_r^s(n) of `crsum --method exact` with its digit check).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -222,6 +224,52 @@ def mobius_range(limit: int) -> list[int]:
                 break
             mu[i * p] = -mu[i]
     return mu
+
+
+def _check_r_n(r: int, n: int) -> None:
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
+def cr_sum_exact(r: int, n: int, s: int) -> int:
+    """Exact c_r^s(n) from the divisor-sum representation.
+
+    For n = 0 every d | r contributes (d**s divides 0), which reproduces
+    the identity c_r^s(0) = jordan_totient(r, s).
+    """
+    check_exponent(s)
+    _check_r_n(r, n)
+    total = 0
+    for d in divisors(r):
+        ds = d**s
+        if n % ds == 0:
+            total += mobius(r // d) * ds
+    return total
+
+
+def _check_digits(r_max: int, s: int, value: int | None = None) -> None:
+    """Refuse c_r^s values Python cannot print: more than sys.get_int_max_str_digits() digits.
+
+    Hoelder's evaluation c_r^s(n) = mu(r/m) J_s(r) / J_s(r/m) gives
+    |c_r^s(n)| <= J_s(r) <= r**s - 1 for r >= 2, so every value of a table
+    over r <= r_max prints once r_max**s <= 10**limit. A single value is
+    checked as it is. Either way the check runs before any output.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if not limit:
+        return
+    if value is None:
+        # r_max**s >= 2**((bits - 1) * s) and 2**(4 * limit) > 10**limit, so a
+        # huge s is refused without raising r_max to it.
+        too_long = (r_max.bit_length() - 1) * s > 4 * limit or r_max**s > 10**limit
+    else:
+        too_long = abs(value) >= 10**limit
+    if too_long:
+        raise ResourceLimitError(
+            f"c_r^s values for r <= {r_max} at s = {s} exceed the int-to-str limit of {limit} digits"
+        )
 
 
 def gcd_s(m: int, n: int, s: int) -> int:

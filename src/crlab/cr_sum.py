@@ -9,7 +9,11 @@ rows, period rows and mean-value rows) comes from one row builder: the terms
 numpy stride sieve. Tables are read-only int64 (or object) grids; the
 `table` command sieves row blocks of about _BLOCK_CELLS cells and writes each
 block straight to CSV, so it holds one block and no per-cell Python int,
-however large the table is. Mean values sum the same row blocks.
+however large the table is. The CSV text of an int64 block is built by numpy
+in tiles of about _TILE_CELLS cells, as rows of NUL-padded uint32 words per
+cell (r and n labels, then the value in 3-digit chunks looked up in
+_chunk_words) that lose their NULs as they are written; blocks past int64
+keep one %-format per row. Mean values sum the same row blocks.
 Orthogonality sums are exact integer Gram matrices of period rows.
 
 Every divisor sum over a range of n is one Dirichlet convolution
@@ -24,7 +28,6 @@ from __future__ import annotations
 import io
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,13 +36,15 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core_arith import (  # ResourceLimitError is re-exported
+from .core_arith import (  # ResourceLimitError and cr_sum_exact are re-exported
     ResourceLimitError,
+    _check_digits,
+    _check_r_n,
     check_exponent,
+    cr_sum_exact,
     divisors,
     factorize,
     is_power_free,
-    mobius,
 )
 
 # The exponential route costs O(r**s) per call; it exists for verification.
@@ -52,6 +57,9 @@ MAX_TABLE_CELLS = 50_000_000
 # mean values are summed; a block always holds at least one row.
 _BLOCK_CELLS = 2**20
 
+# Cells per tile of CSV text from an int64 block.
+_TILE_CELLS = 2**15
+
 # Largest n a sigma row is built for. A correlate run holds at most three
 # float64 rows of about N + h cells at once (f, g and the power row or the
 # running sums), so at this limit it peaks near 0.5 GB.
@@ -59,13 +67,6 @@ MAX_SIGMA_LIMIT = 20_000_000
 
 # int64 matrix products are used while every partial sum stays below this.
 _INT64_LIMIT = 2**63
-
-
-def _check_r_n(r: int, n: int) -> None:
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
 
 
 def _grid_dtype(r_max: int, s: int) -> type:
@@ -124,16 +125,22 @@ def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
     return _stride_sieve(terms, len(r_values), n_max + 1, s, max(r_values, default=1))
 
 
+def _sieved_blocks(r_values: Sequence[int], n_max: int, s: int) -> Iterator[np.ndarray]:
+    """_sieve_rows(r_values, n_max, s) in consecutive row blocks of about _BLOCK_CELLS cells."""
+    step = max(1, _BLOCK_CELLS // (n_max + 1))
+    for lo in range(0, len(r_values), step):
+        yield _sieve_rows(r_values[lo : lo + step], n_max, s)
+
+
 def _sieved_rows(r_values: Sequence[int], n_max: int, s: int) -> Iterator[np.ndarray]:
-    """The rows of _sieve_rows(r_values, n_max, s), sieved in blocks of about _BLOCK_CELLS cells.
+    """The rows of _sieved_blocks(r_values, n_max, s).
 
     Each row is a copy, so a caller still holding the last row of a block
     does not keep that block alive while the next one is sieved: one block
     is held at a time.
     """
-    step = max(1, _BLOCK_CELLS // (n_max + 1))
-    for lo in range(0, len(r_values), step):
-        yield from map(np.copy, _sieve_rows(r_values[lo : lo + step], n_max, s))
+    for block in _sieved_blocks(r_values, n_max, s):
+        yield from map(np.copy, block)
 
 
 def _check_table(r_max: int, n_max: int, s: int) -> None:
@@ -146,39 +153,129 @@ def _check_table(r_max: int, n_max: int, s: int) -> None:
     _check_cells(r_max, n_max)
 
 
-def _check_digits(r_max: int, s: int, value: int | None = None) -> None:
-    """Refuse c_r^s values Python cannot print: more than sys.get_int_max_str_digits() digits.
+@lru_cache(maxsize=None)
+def _chunk_words() -> np.ndarray:
+    """The 3-digit chunks c < 1000 as uint32 words, NUL-padded in front, in five variants of 1000.
 
-    Hoelder's evaluation c_r^s(n) = mu(r/m) J_s(r) / J_s(r/m) gives
-    |c_r^s(n)| <= J_s(r) <= r**s - 1 for r >= 2, so every value of a table
-    over r <= r_max prints once r_max**s <= 10**limit. A single value is
-    checked as it is. Either way the check runs before any output.
+    At _TOP a top chunk without its leading zeros, where 0 is blank (a chunk
+    above the value's top); at _NEG the same after '-'; at _INNER the chunk
+    zero-padded; at _TOP + _LOWEST and _NEG + _LOWEST the top variants of the
+    lowest chunk, where 0 prints as 0. Built on the first table written, not
+    on import.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if not limit:
+    top = [b"%d" % c for c in range(1000)]
+    neg = [b"-" + text for text in top]
+    inner = [b"%03d" % c for c in range(1000)]
+    variants = ([b""] + top[1:], [b""] + neg[1:], inner, top, neg)
+    texts = b"".join(text.rjust(4, b"\0") for text in chain.from_iterable(variants))
+    return np.frombuffer(texts, dtype=np.uint32)
+
+
+_TOP, _NEG, _INNER, _LOWEST = 0, 1000, 2000, 3000
+
+
+def _label_words(values: np.ndarray, lead: bytes, tail: bytes) -> np.ndarray:
+    """lead + str(v) + tail for each v of a nonempty non-negative int row, as rows of uint32 words.
+
+    Each text is NUL-padded in front to the same whole number of words. The
+    lead sits at a fixed column before the digits, so NULs separate it from a
+    short number; they are dropped with the rest when the text is written.
+    """
+    digits = len(str(int(values.max())))
+    width = -(-(len(lead) + digits + len(tail)) // 4) * 4
+    text = np.zeros((len(values), width), dtype=np.uint8)
+    end = width - len(tail)
+    text[:, end:] = np.frombuffer(tail, dtype=np.uint8)
+    text[:, end - digits - len(lead) : end - digits] = np.frombuffer(lead, dtype=np.uint8)
+    q = values
+    for col in range(end - 1, end - 1 - digits, -1):
+        rest = q // 10
+        digit = (q - rest * 10 + 48).astype(np.uint8)
+        text[:, col] = digit if col == end - 1 else np.where(q > 0, digit, 0)
+        q = rest
+    return text.view(np.uint32)
+
+
+def _value_words(q: np.ndarray, negative: np.ndarray, out: np.ndarray) -> None:
+    """Write the values with magnitudes q and signs negative as 3-digit chunk words into out.
+
+    out has one word per chunk of the largest magnitude, top chunk first; a
+    value's chunks above its top are blank.
+    """
+    words = _chunk_words()
+    if out.shape[-1] <= 3:  # every magnitude < 10**9 < 2**32: faster division
+        q = q.astype(np.uint32)
+    top = np.where(negative, _NEG + _LOWEST, _TOP + _LOWEST)
+    for col in range(out.shape[-1] - 1, -1, -1):  # lowest chunk first
+        rest = q // 1000
+        index = np.where(rest > 0, _INNER, top)
+        np.add(index, q - rest * 1000, out=index, casting="unsafe")  # a chunk < 1000 fits
+        out[..., col] = words.take(index)
+        if col == out.shape[-1] - 1:
+            top -= _LOWEST  # above the lowest chunk, 0 is blank
+        q = rest
+
+
+def _int_tile_bytes(r_words: np.ndarray, n_words: np.ndarray, tile: np.ndarray) -> bytes:
+    """The CSV cells "\nr,n,value" of an int64 tile, whose rows carry r_words and columns n_words.
+
+    The magnitudes are taken as uint64, in which |-2**63| is exact.
+    """
+    q = np.abs(tile).view(np.uint64)
+    chunks = -(-len(str(int(q.max()))) // 3)
+    r_end = r_words.shape[1]
+    n_end = r_end + n_words.shape[1]
+    record = np.empty(tile.shape + (n_end + chunks,), dtype=np.uint32)
+    record[:, :, :r_end] = r_words[:, None]
+    record[:, :, r_end:n_end] = n_words
+    _value_words(q, tile < 0, record[:, :, n_end:])
+    return record.tobytes().translate(None, b"\0")
+
+
+def _block_text(block: np.ndarray, r: int, n_labels: np.ndarray | None) -> Iterator[bytes]:
+    """The CSV cells of a row block whose first row is r, in pieces to write.
+
+    An int64 block comes in tiles of about _TILE_CELLS cells: several rows of
+    a narrow table or one n-window of a wide row. n_labels holds the ",n,"
+    words of a row that fits in one tile; a wider row builds them per window.
+    An object block (values past int64) is one %-format of Python ints per
+    row, over a template of every n of the row.
+    """
+    width = block.shape[1]
+    if block.dtype == object:
+        tails = [b",%d,%%d" % n for n in range(width)]
+        for i, row in enumerate(block, start=r):
+            prefix = b"\n%d" % i
+            yield (prefix + prefix.join(tails)) % tuple(row.tolist())
         return
-    if value is None:
-        # r_max**s >= 2**((bits - 1) * s) and 2**(4 * limit) > 10**limit, so a
-        # huge s is refused without raising r_max to it.
-        too_long = (r_max.bit_length() - 1) * s > 4 * limit or r_max**s > 10**limit
-    else:
-        too_long = abs(value) >= 10**limit
-    if too_long:
-        raise ResourceLimitError(
-            f"c_r^s values for r <= {r_max} at s = {s} exceed the int-to-str limit of {limit} digits"
-        )
+    step = max(1, _TILE_CELLS // width)
+    for lo in range(0, len(block), step):
+        rows = block[lo : lo + step]
+        r_words = _label_words(np.arange(r + lo, r + lo + len(rows)), b"\n", b"")
+        for n_lo in range(0, width, _TILE_CELLS):
+            n_hi = min(width, n_lo + _TILE_CELLS)
+            n_words = n_labels
+            if n_words is None:
+                n_words = _label_words(np.arange(n_lo, n_hi), b",", b",")
+            yield _int_tile_bytes(r_words, n_words, rows[:, n_lo:n_hi])
 
 
-def _write_csv(handle: BinaryIO, rows: Iterable[np.ndarray], n_max: int) -> None:
-    """Write the table CSV (header r,n,value) of rows r = 1, 2, ..., one write per row.
+def _write_csv(handle: BinaryIO, blocks: Iterable[np.ndarray], n_max: int) -> None:
+    """Write the table CSV (header r,n,value) of the row blocks of r = 1, 2, ..., in order.
 
-    Each row is one %-format of Python ints over a template of every n of the row.
+    Each cell is the text "\nr,n,value" and one newline closes the file; see
+    _block_text. A block is let go before the next one is drawn from blocks.
     """
-    handle.write(b"r,n,value\n")
-    tails = [b",%d,%%d\n" % n for n in range(n_max + 1)]
-    for r, row in enumerate(rows, start=1):
-        prefix = b"%d" % r
-        handle.write((prefix + prefix.join(tails)) % tuple(row.tolist()))
+    handle.write(b"r,n,value")
+    width = n_max + 1
+    n_labels = _label_words(np.arange(width), b",", b",") if width <= _TILE_CELLS else None
+    r = 1
+    for block in blocks:
+        for text in _block_text(block, r, n_labels):
+            handle.write(text)
+        r += len(block)
+        del block  # else it stays bound while a generator of blocks sieves the next
+    handle.write(b"\n")
 
 
 def _stream_table_csv(handle: BinaryIO, r_max: int, n_max: int, s: int) -> None:
@@ -186,7 +283,7 @@ def _stream_table_csv(handle: BinaryIO, r_max: int, n_max: int, s: int) -> None:
 
     Callers run _check_table and _check_digits first, before opening handle.
     """
-    _write_csv(handle, _sieved_rows(range(1, r_max + 1), n_max, s), n_max)
+    _write_csv(handle, _sieved_blocks(range(1, r_max + 1), n_max, s), n_max)
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
@@ -314,22 +411,6 @@ def _weighted_sum(weights: np.ndarray, column: np.ndarray) -> float:
     else:
         terms = weights * column
     return float(np.cumsum(terms)[-1]) + 0.0
-
-
-def cr_sum_exact(r: int, n: int, s: int) -> int:
-    """Exact c_r^s(n) from the divisor-sum representation.
-
-    For n = 0 every d | r contributes (d**s divides 0), which reproduces
-    the identity c_r^s(0) = jordan_totient(r, s).
-    """
-    check_exponent(s)
-    _check_r_n(r, n)
-    total = 0
-    for d in divisors(r):
-        ds = d**s
-        if n % ds == 0:
-            total += mobius(r // d) * ds
-    return total
 
 
 @lru_cache(maxsize=128)
@@ -548,8 +629,8 @@ class CRSumTable:
         return tuple(self.values[r - 1].tolist())
 
     def write_csv(self, handle: BinaryIO) -> None:
-        """Write the CSV (header r,n,value) as ASCII bytes, one row per write."""
-        _write_csv(handle, self.values, self.n_max)
+        """Write the CSV (header r,n,value) as ASCII bytes, one tile per write."""
+        _write_csv(handle, (self.values,), self.n_max)
 
     def to_csv_text(self) -> str:
         buffer = io.BytesIO()

@@ -639,7 +639,7 @@ def _scalar_point(lemma_id: str, r: int, k: int, s: int, h: int, n: int, total: 
     if lemma_id == "L3":
         bound = math.sqrt(n) * math.sqrt(n + h) * math.sqrt(rs * ks) * tau_r * tau_k
         measured = float(abs(total))
-        return measured, bound, measured / bound, measured <= bound
+        return measured, bound, measured / bound, total**2 <= n * (n + h) * rs * ks * tau_r**2 * tau_k**2
     bound = 2 * n * jordan_totient(r, s) * tau_k
     measured = float(total)
     return measured, float(bound), measured / bound, total <= bound
@@ -666,7 +666,7 @@ def _lemma_column_grids(draw):
 @settings(max_examples=80, deadline=None)
 @given(grid=_lemma_column_grids())
 @example(grid=("L2", [1, 2, 1], [1, 3], 1, 4, [9, 3, 9]))  # the unit pair skipped, twice
-@example(grid=("L3", [9, 1], [11, 1], 3, 0, [3, 1, 2]))  # sqrt(3) * sqrt(3) < 3 fails at r = k = 1
+@example(grid=("L3", [9, 1], [11, 1], 3, 0, [3, 1, 2]))  # equality at r = k = 1, where sqrt(3) * sqrt(3) < 3
 @example(grid=("L4", [40, 39], [39, 40], 12, 5, [20, 10]))
 def test_lemma_columns_match_scalar_points_bitwise(grid):
     # every column value against the old per-point arithmetic, floats by hex
@@ -691,11 +691,17 @@ def test_lemma_columns_match_scalar_points_bitwise(grid):
 
 @pytest.mark.parametrize(
     "lemma_id, axis, s, h",
-    [("L1", 12, 400, 0), ("L2", 12, 400, 0), ("L3", 40, 100, 0), ("L3", 40, 100, 3)],
+    [
+        ("L1", 12, 400, 0),
+        ("L2", 12, 400, 0),
+        ("L2", 40, 96, 0),  # 40**192 is a float, 40**192 * ln(40**192) is not
+        ("L3", 40, 100, 0),
+        ("L3", 40, 100, 3),
+    ],
 )
 def test_lemma_grid_past_the_float_range_exits_before_sieving(monkeypatch, lemma_id, axis, s, h):
-    # an L1 bound or an L2/L3 scale r**s k**s past the float range is refused
-    # before any row is sieved
+    # an L1 bound, an L2/L3 scale r**s k**s or an L2 scale r**s k**s ln(r**s k**s)
+    # past the float range is refused before any row is sieved
     def no_rows(*args, **kwargs):
         raise AssertionError("rows sieved for a grid past the float range")
 

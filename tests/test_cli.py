@@ -578,6 +578,29 @@ def test_lemmas_failed_points_exit_one(tmp_path, capsys, monkeypatch):
     assert len(json.loads(path.read_text())["grid"]) == 9
 
 
+def test_lemmas_l3_equality_passes(tmp_path, capsys):
+    # at r = k = 1, h = 0, N = 3 the sum is exactly the bound 3, while the float
+    # bound sqrt(3) * sqrt(3) rounds below it
+    path = tmp_path / "l3.json"
+    code, out, err = run_cli(
+        capsys, "lemmas", "--which", "3", "--rmax", "9", "--kmax", "11", "--s", "3",
+        "--h", "0", "--N", "1,2,3", "--out", str(path),
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "L3: all 297 grid points within bound\n"
+    point = next(p for p in json.loads(path.read_text())["grid"] if (p["r"], p["k"], p["N"]) == (1, 1, 3))
+    assert point["measured"] == 3.0 and point["bound"] < 3.0
+
+
+def test_lemmas_l2_scale_past_the_float_range_exits_four(capsys):
+    # 40**192 is a float but 40**192 * ln(40**192) is not; JSON has no inf
+    code, out, err = run_cli(
+        capsys, "lemmas", "--which", "2", "--rmax", "40", "--kmax", "40", "--s", "96", "--N", "10",
+    )
+    assert code == EXIT_RESOURCE
+    assert "float range" in err and out == ""
+
+
 def test_lemmas_over_point_budget_exits_before_building(capsys, monkeypatch):
     # 10**8 points on a table of only 2 * 10**4 cells
     def no_rows(*args, **kwargs):

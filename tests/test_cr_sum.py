@@ -4,6 +4,7 @@ import cmath
 import io
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -447,6 +448,60 @@ def test_streamed_table_memory_is_one_block():
     assert large_size > 60 * 10**6 and large_size > 9 * small_size
     assert abs(large - small) < block_bytes
     assert max(small, large) < 3 * block_bytes
+
+
+def test_streamed_wide_row_memory_is_the_row_and_one_tile():
+    # a single row wider than a block is held as int64 once; its text goes
+    # out one n-window at a time, so nothing else grows with the row
+    for n_max in (2**21 - 1, 2**22 - 1):
+        peak, size = _streaming_peak(1, n_max, 1)
+        assert size > 11 * (n_max + 1)
+        assert peak - 8 * (n_max + 1) < cr_sum._BLOCK_CELLS * 8
+
+
+# 0, +-(10**k - 1), +-10**k and +-(2**63 - 1): every digit width and sign at its edges
+_EDGE_VALUES = [0, 2**63 - 1, -(2**63 - 1)] + [
+    v for k in range(1, 19) for v in (10**k - 1, 10**k, 1 - 10**k, -(10**k))
+]
+
+
+@st.composite
+def _csv_blocks(draw):
+    rows = draw(st.sampled_from((1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001)))
+    n_max = draw(st.integers(min_value=0, max_value=3000 // rows - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = (rows, n_max + 1)
+    pick = rng.integers(0, 3, size=shape)
+    grid = np.select(
+        [pick == 0, pick == 1],
+        [rng.choice(_EDGE_VALUES, size=shape), rng.integers(-999, 1000, size=shape)],
+        rng.integers(-(2**63) + 1, 2**63, size=shape),
+    )
+    cuts = sorted(draw(st.lists(st.integers(min_value=1, max_value=rows), max_size=3)))
+    blocks = np.split(grid, cuts)
+    for i, block in enumerate(blocks):
+        if draw(st.booleans()):  # an object block, as past int64, with Python ints beyond it
+            blocks[i] = block.astype(object) * draw(st.sampled_from((1, 10**20)))
+    tile = draw(st.sampled_from((1, 5, 64, 2**16)))
+    return blocks, n_max, tile
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_csv_blocks())
+@example(case=([np.arange(-500, 501, dtype=np.int64).reshape(1001, 1)], 0, 2**16))  # r to 1001 in one tile
+@example(case=([np.full((1, 2000), -(2**63 - 1), dtype=np.int64)], 1999, 64))  # a row of 32 tiles
+@example(case=([np.zeros((3, 5), dtype=np.int64), np.ones((2, 5), dtype=object) * 10**30], 4, 7))
+def test_write_csv_matches_fstring_oracle(case):
+    blocks, n_max, tile = case
+    expected = "r,n,value\n" + "".join(
+        f"{r},{n},{v}\n"
+        for r, row in enumerate((row for block in blocks for row in block.tolist()), start=1)
+        for n, v in enumerate(row)
+    )
+    written = io.BytesIO()
+    with mock.patch.object(cr_sum, "_TILE_CELLS", tile):
+        cr_sum._write_csv(written, blocks, n_max)
+    assert written.getvalue() == expected.encode()
 
 
 def test_cr_values_fixed_n_matches_exact():

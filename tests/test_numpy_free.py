@@ -1,8 +1,8 @@
 """The numpy-free layer: crlab.cli starts on core_arith alone.
 
-`import crlab.cli`, `--help` and `decompose` must not load numpy, and the
-package's other public names must still resolve, to the same objects, on first
-access.
+`import crlab.cli`, `--help`, `decompose` and `crsum --method exact` must
+not load numpy, and the package's other public names must still resolve, to
+the same objects, on first access.
 """
 
 import importlib
@@ -18,9 +18,10 @@ import crlab
 SRC = str(Path(crlab.__file__).resolve().parent.parent)
 
 # Every public name of the package, by the module it was imported from before
-# the numpy-backed modules became lazy. ResourceLimitError, HDecomposition and
-# decompose_h now live in core_arith; cr_sum and asymptotics re-export them,
-# so checking them against their old modules checks the re-export too.
+# the numpy-backed modules became lazy. ResourceLimitError, HDecomposition,
+# decompose_h and cr_sum_exact now live in core_arith; cr_sum and asymptotics
+# re-export them, so checking them against their old modules checks the
+# re-export too.
 # mean_value_coefficient has since become mean_value_coefficients.
 EXPORTS = {
     "core_arith": (
@@ -65,8 +66,12 @@ def run_python(code: str) -> subprocess.CompletedProcess:
         "    crlab.cli.main(['--help'])",
         "import crlab.cli\n"
         "assert crlab.cli.main(['decompose', '--h', '12', '--s', '2']) == 0",
+        "import crlab.cli\n"
+        "assert crlab.cli.main(['crsum', '--r', '12', '--n', '8', '--s', '1', '--method', 'exact']) == 0\n"
+        "from crlab import cr_sum_exact\n"
+        "assert cr_sum_exact(12, 8, 1) == -2",
     ],
-    ids=["import", "help", "decompose"],
+    ids=["import", "help", "decompose", "crsum-exact"],
 )
 def test_cli_paths_leave_numpy_unloaded(code):
     done = run_python(code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
