@@ -492,15 +492,10 @@ def lemma_check(
     measured = _float_column(sums, lemma_id, "sum")
     if lemma_id == "L2":
         passed = np.ones(len(measured), dtype=bool)
-    elif lemma_id == "L3":
-        # The exact test is sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2.
-        # measured and bound are each within a few ulps of the exact sides, so
-        # the float test decides it except at a near tie, which takes the ints.
-        passed = measured <= bound
-        tie = np.flatnonzero(np.abs(measured - bound) <= bound * 1e-12)
-        n_tie, tau_tie = n[tie].astype(object), tau_r[tie] * tau_k[tie]
-        square = n_tie * (n_tie + h) * rk[ri[tie], ki[tie]] * tau_tie**2
-        passed[tie] = sums[tie].astype(object) ** 2 <= square
+    elif lemma_id == "L3":  # exactly: sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2
+        n_exact = n.astype(object)
+        square = n_exact * (n_exact + h) * rk[ri, ki] * (tau_r * tau_k).astype(object) ** 2
+        passed = (sums.astype(object) ** 2 <= square).astype(bool)
     else:
         passed = sums <= exact_bound
     return LemmaCheckReport(lemma_id, s, h, r, k, n, measured, bound, measured / bound, passed)

@@ -177,23 +177,17 @@ _TOP, _NEG, _INNER, _LOWEST = 0, 1000, 2000, 3000
 def _label_words(values: np.ndarray, lead: bytes, tail: bytes) -> np.ndarray:
     """lead + str(v) + tail for each v of a nonempty non-negative int row, as rows of uint32 words.
 
-    Each text is NUL-padded in front to the same whole number of words. The
-    lead sits at a fixed column before the digits, so NULs separate it from a
-    short number; they are dropped with the rest when the text is written.
+    The digits are the chunk words of _value_words. Their first byte is NUL
+    (a non-negative chunk has at most 3 digits), so the one-byte lead takes
+    the first byte of the top chunk word; a nonempty tail is one more word.
     """
-    digits = len(str(int(values.max())))
-    width = -(-(len(lead) + digits + len(tail)) // 4) * 4
-    text = np.zeros((len(values), width), dtype=np.uint8)
-    end = width - len(tail)
-    text[:, end:] = np.frombuffer(tail, dtype=np.uint8)
-    text[:, end - digits - len(lead) : end - digits] = np.frombuffer(lead, dtype=np.uint8)
-    q = values
-    for col in range(end - 1, end - 1 - digits, -1):
-        rest = q // 10
-        digit = (q - rest * 10 + 48).astype(np.uint8)
-        text[:, col] = digit if col == end - 1 else np.where(q > 0, digit, 0)
-        q = rest
-    return text.view(np.uint32)
+    chunks = -(-len(str(int(values.max()))) // 3)
+    words = np.empty((len(values), chunks + bool(tail)), dtype=np.uint32)
+    _value_words(values, np.zeros(len(values), dtype=bool), words[:, :chunks])
+    words.view(np.uint8)[:, 0] = ord(lead)
+    if tail:
+        words[:, -1] = np.frombuffer(tail.rjust(4, b"\0"), dtype=np.uint32)
+    return words
 
 
 def _value_words(q: np.ndarray, negative: np.ndarray, out: np.ndarray) -> None:
