@@ -10,9 +10,10 @@ with real exponents, and report serialization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,12 +22,16 @@ from .core_arith import (  # HDecomposition and decompose_h are re-exported
     ResourceLimitError,
     check_exponent,
     decompose_h,
+    jordan_totient,
+    power_at_most,
     sigma_real,
     tau_s,
     zeta,
 )
 from .cr_sum import (
     MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
+    _INT64_LIMIT,
+    _check_cells,
     _cr_column,
     _dirichlet_sieve,
     _exact_matmul,
@@ -113,10 +118,10 @@ def theorem2_main(
 
 
 def _check_corollary_exponents(a: float, b: float) -> None:
-    if not a > 1.5:
-        raise ValueError(f"a must exceed 1.5, got {a}")
-    if not b > 1.5:
-        raise ValueError(f"b must exceed 1.5, got {b}")
+    if not 1.5 < a < math.inf:
+        raise ValueError(f"a must be finite and exceed 1.5, got {a}")
+    if not 1.5 < b < math.inf:
+        raise ValueError(f"b must be finite and exceed 1.5, got {b}")
 
 
 def corollary_main(a: float, b: float, s: int, h: int) -> float:
@@ -390,13 +395,20 @@ def _float_column(exact: np.ndarray, lemma_id: str, what: str) -> np.ndarray:
         raise ResourceLimitError(f"{lemma_id} {what} exceeds the float range") from None
 
 
+def _axis_length(axis: Sequence[int]) -> int:
+    """len(axis), also for a range of more than sys.maxsize values, where len() overflows."""
+    if isinstance(axis, range) and axis:
+        return (axis[-1] - axis[0]) // axis.step + 1
+    return len(axis)
+
+
 def lemma_check(
     lemma_id: str,
-    r_values: Iterable[int],
-    k_values: Iterable[int],
+    r_values: Sequence[int],
+    k_values: Sequence[int],
     s: int,
     h: int,
-    n_values: Iterable[int],
+    n_values: Sequence[int],
 ) -> LemmaCheckReport:
     """Check one product-sum lemma on the grid r_values x k_values x n_values at one (s, h).
 
@@ -408,9 +420,14 @@ def lemma_check(
     L3: |shifted sum| <= sqrt(N) sqrt(N+h) sqrt(r**s k**s) tau_s(r**s) tau_s(k**s).
     L4: shifted sum <= 2 N Phi_s(r**s) tau(k), requiring h <= N.
 
-    Grids beyond MAX_LEMMA_POINTS, L1 bounds, L2/L3 scales r**s k**s and L2
-    scales r**s k**s ln(r**s k**s) past the float range are rejected before
-    anything is sieved (L4 bounds once the rows give Phi_s(r**s) = c_r^s(0)).
+    Grids beyond MAX_LEMMA_POINTS, counted from the axis lengths, and grids
+    whose rows pass MAX_TABLE_CELLS are rejected before any axis is built.
+    Then one float-range test from bit lengths (power_at_most) rejects, before
+    any exact power is formed or any row sieved, an L1 bound past
+    gcd(r, k)**s, an L2/L3 scale r**s k**s and an L4 bound past
+    Phi_s(r**s) >= r**(s - 1) at or past 2**max_exp. The exact float
+    conversions decide the cases below that: L1 and L2/L3 before sieving,
+    L2's r**s k**s ln(r**s k**s) and L4's bound after.
     One sieve holds the rows of the r and k values; with A the r rows and B
     the k rows, every sum_{n<=N} c_r^s(n) c_k^s(n + h) up to N is an entry of
     A[:, 1:N+1] @ B[:, 1+h:N+h+1].T, added block by block between
@@ -420,14 +437,14 @@ def lemma_check(
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"lemma_id must be one of {LEMMA_IDS}, got {lemma_id!r}")
-    r_values, k_values, n_values = tuple(r_values), tuple(k_values), tuple(n_values)
-    count = len(r_values) * len(k_values) * len(n_values)
+    count = math.prod(map(_axis_length, (r_values, k_values, n_values)))
     if count > MAX_LEMMA_POINTS:
         raise ResourceLimitError(f"lemma grid of {count} points exceeds {MAX_LEMMA_POINTS}")
     # L2 skips r**s k**s = 1, so a grid holding only r = k = 1 is empty.
     skip_unit = lemma_id == "L2"
-    if count == 0 or (skip_unit and max(r_values) ** s * max(k_values) ** s <= 1):
+    if count == 0 or (skip_unit and max(r_values) * max(k_values) <= 1):
         raise ValueError("lemma grid is empty")
+    r_values, k_values, n_values = tuple(r_values), tuple(k_values), tuple(n_values)
     if min(r_values) < 1 or min(k_values) < 1:
         raise ValueError("grid r and k must be >= 1")
     check_exponent(s)
@@ -440,22 +457,33 @@ def lemma_check(
     if lemma_id == "L4" and h > min(n_values):
         first = next(n for n in n_values if n < h)
         raise ValueError(f"L4 requires h <= N, got h={h}, N={first}")
+    values = sorted({*r_values, *k_values})
+    _check_cells(len(values), max(n_values) + h)
+    r_axis, k_axis, n_axis = np.array(r_values), np.array(k_values), np.array(n_values)
+    r_max, k_max, n_max = max(r_values), max(k_values), max(n_values)
+    if lemma_id == "L1":
+        gcd = np.gcd.outer(r_axis, k_axis)
+        base, power, what = int(gcd.max()), s, "bound N tau(r) tau(k) gcd(r, k)**s >="
+    elif lemma_id == "L4":
+        base, power, what = r_max, s - 1, "bound 2 N Phi_s(r**s) tau(k) >="
+    else:
+        base, power, what = r_max * k_max, s, "scale r**s k**s up to"
+    if power_at_most(base, power, 2**sys.float_info.max_exp - 1) is None:
+        raise ResourceLimitError(f"{lemma_id} {what} {base}**{power} exceeds the float range")
 
     # point p is (r_values[ri[p]], k_values[ki[p]], n_values[ni[p]])
-    r_axis, k_axis, n_axis = np.array(r_values), np.array(k_values), np.array(n_values)
     points = np.indices((len(r_values), len(k_values), len(n_values))).reshape(3, -1)
     if skip_unit:
         points = points[:, (r_axis[points[0]] > 1) | (k_axis[points[1]] > 1)]
     ri, ki, ni = points
     r, k, n = r_axis[ri], k_axis[ki], n_axis[ni]
-    values = sorted({*r_values, *k_values})
     r_row, k_row = np.searchsorted(values, r_axis), np.searchsorted(values, k_axis)
     # tau_s(r**s, s) = tau(r) and (r**s, k**s)_s = gcd(r, k)**s: the L1 and
     # L3 bounds never factorize r**s, which may pass the factorize limit.
     tau = np.array([tau_s(v, 1) for v in values])
     tau_r, tau_k = tau[r_row][ri], tau[k_row][ki]
     if lemma_id == "L1":
-        gcd_power = np.gcd.outer(r_axis, k_axis).astype(object) ** s
+        gcd_power = gcd.astype(object) ** s
         exact_bound = gcd_power[ri, ki] * n * tau_r * tau_k
         bound = _float_column(exact_bound, lemma_id, "bound")
     elif lemma_id in ("L2", "L3"):
@@ -470,9 +498,12 @@ def lemma_check(
         else:
             bound = np.sqrt(n) * np.sqrt(n + h) * np.sqrt(rk_float)[ri, ki] * tau_r * tau_k
 
-    rows = _sieve_rows(values, max(n_values) + h, s)
+    # Column 0 (Phi_s(r**s) = J_s(r)) is read by L2 at h = 0, whose r**s k**s is a float.
+    rows = _sieve_rows(values, n_max + h, s, zero=lemma_id == "L2")
     a, b = rows[r_row], rows[k_row]
-    cap = max(n_values) * max(r_values) ** s * max(k_values) ** s
+    # every partial sum is at most N r**s k**s; past int64 the products run on Python ints
+    rk_power = power_at_most(r_max * k_max, s, (_INT64_LIMIT - 1) // n_max)
+    cap = _INT64_LIMIT if rk_power is None else n_max * rk_power
     tops = sorted(set(n_values))
     blocks, total, prev = [], 0, 0
     for top in tops:
@@ -486,8 +517,9 @@ def lemma_check(
         sums = abs(sums - np.where(r == k, a[ri, h].astype(object) * n, 0))
     elif lemma_id == "L3":
         sums = abs(sums)
-    elif lemma_id == "L4":  # Phi_s(r**s) = c_r^s(0) is read from the rows at n = 0
-        exact_bound = a[ri, 0].astype(object) * 2 * n * tau_k
+    elif lemma_id == "L4":  # the k rows leave out n = 0, so Phi_s(r**s) = J_s(r) is taken per r
+        phi = np.array([jordan_totient(v, s) for v in r_values], dtype=object)
+        exact_bound = phi[ri] * 2 * n * tau_k
         bound = _float_column(exact_bound, lemma_id, "bound")
     measured = _float_column(sums, lemma_id, "sum")
     if lemma_id == "L2":

@@ -142,15 +142,14 @@ def _meanvalue_f_values(args: argparse.Namespace, rows: int):
         need = "--k (the inner index q)" if args.method == "crsum" else "--k"
         raise ValueError(f"meanvalue --method {args.method} needs {need}")
     cr_sum._check_cells(rows, args.N)
+    check_exponent(args.s)
     if args.method == "sigma":
         return asymptotics._sigma_ratio_values(args.k * args.s, args.N)
-    check_exponent(args.s)
     if args.N < 0:  # N = 0 is left to mean_value_coefficients
         raise ValueError(f"n_limit must be >= 1, got {args.N}")
     q = 1 if args.method == "one" else args.k  # c_1^s(n) = 1
-    row = cr_sum._sieve_rows((q,), args.N, args.s)[0]
-    row[0] = 0  # c_q^s(0) = J_s(q) may pass the float range; |c_q^s(n)| <= sigma(n) for n >= 1
-    return row.astype(float)
+    # slot 0 stays 0: c_q^s(0) = J_s(q) may pass the float range; |c_q^s(n)| <= sigma(n) for n >= 1
+    return cr_sum._sieve_rows((q,), args.N, args.s, zero=False)[0].astype(float)
 
 
 def _cmd_meanvalue(args: argparse.Namespace) -> int:
@@ -161,7 +160,8 @@ def _cmd_meanvalue(args: argparse.Namespace) -> int:
     if args.r is not None and args.R is not None:
         raise ValueError("meanvalue takes --r (one coefficient) or --R (r = 1..R), not both")
     r_values = range(1, args.R + 1) if args.R is not None else (1 if args.r is None else args.r,)
-    f_values = _meanvalue_f_values(args, len(r_values))
+    # len() of a range past sys.maxsize overflows; R rows are counted before any is built
+    f_values = _meanvalue_f_values(args, len(r_values) if args.R is None else max(args.R, 0))
     coeffs = expansion.mean_value_coefficients(f_values, r_values, args.s)
     if args.R is not None:
         family = expansion.ExpansionCoefficients(

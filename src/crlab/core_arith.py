@@ -10,8 +10,10 @@ divisor sums).
 
 This module imports no numpy: it is the layer the command line starts on,
 and it also holds the pieces that the cheap commands share with the sieving
-modules (ResourceLimitError, the shift decomposition h = m**s * k, and the
-exact scalar c_r^s(n) of `crsum --method exact` with its digit check).
+modules (ResourceLimitError, the shift decomposition h = m**s * k, the
+exact scalar c_r^s(n) of `crsum --method exact` with its digit check, and
+power_at_most, which sizes every power r**s held to a budget from bit
+lengths before forming it).
 """
 
 from __future__ import annotations
@@ -233,18 +235,38 @@ def _check_r_n(r: int, n: int) -> None:
         raise ValueError(f"n must be >= 0, got {n}")
 
 
+def power_at_most(base: int, s: int, bound: int) -> int | None:
+    """base**s if it is at most bound, else None, for base >= 1 and s, bound >= 0.
+
+    With bits = base.bit_length(), base**s >= 2**((bits - 1) * s), which is
+    past bound once (bits - 1) * s reaches bound.bit_length(). Only a power
+    that passes this test is formed, and it has fewer than twice the bits of
+    bound, so a huge s costs no more than a small one. Every check of an
+    integer power against a budget (the int-to-str digits, the float range,
+    EXPONENTIAL_ROUTE_LIMIT, int64) is made here.
+    """
+    if (base.bit_length() - 1) * s >= bound.bit_length():
+        return None
+    power = base**s
+    return power if power <= bound else None
+
+
 def cr_sum_exact(r: int, n: int, s: int) -> int:
     """Exact c_r^s(n) from the divisor-sum representation.
 
-    For n = 0 every d | r contributes (d**s divides 0), which reproduces
-    the identity c_r^s(0) = jordan_totient(r, s).
+    For n > 0 a d**s that divides n is at most n, so no larger power is
+    formed. For n = 0 every d | r contributes (d**s divides 0), which
+    reproduces the identity c_r^s(0) = jordan_totient(r, s); that sum is
+    held to _check_digits(r, s) before it is formed.
     """
     check_exponent(s)
     _check_r_n(r, n)
+    if n == 0:
+        _check_digits(r, s)
     total = 0
     for d in divisors(r):
-        ds = d**s
-        if n % ds == 0:
+        ds = d**s if n == 0 else power_at_most(d, s, n)
+        if ds is not None and n % ds == 0:
             total += mobius(r // d) * ds
     return total
 
@@ -254,16 +276,15 @@ def _check_digits(r_max: int, s: int, value: int | None = None) -> None:
 
     Hoelder's evaluation c_r^s(n) = mu(r/m) J_s(r) / J_s(r/m) gives
     |c_r^s(n)| <= J_s(r) <= r**s - 1 for r >= 2, so every value of a table
-    over r <= r_max prints once r_max**s <= 10**limit. A single value is
-    checked as it is. Either way the check runs before any output.
+    over r <= r_max prints once r_max**s <= 10**limit, which power_at_most
+    decides without forming a longer power. A single value is checked as it
+    is. Either way the check runs before any output.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if not limit:
         return
     if value is None:
-        # r_max**s >= 2**((bits - 1) * s) and 2**(4 * limit) > 10**limit, so a
-        # huge s is refused without raising r_max to it.
-        too_long = (r_max.bit_length() - 1) * s > 4 * limit or r_max**s > 10**limit
+        too_long = power_at_most(r_max, s, 10**limit) is None
     else:
         too_long = abs(value) >= 10**limit
     if too_long:
@@ -397,7 +418,9 @@ def zeta(x: float) -> float:
     """
     if not x > 1:
         raise ValueError(f"zeta requires x > 1, got {x}")
-    n_terms = max(10, math.ceil((x / (12 * 1e-12)) ** (1.0 / (x + 1.0))))
+    # the quotient overflows for x past about 2e297, whose (x + 1)-th roots all round to 1.0
+    scale = min(x / (12 * 1e-12), sys.float_info.max)
+    n_terms = max(10, math.ceil(scale ** (1.0 / (x + 1.0))))
     partial = math.fsum(k ** (-x) for k in range(1, n_terms + 1))
     tail = n_terms ** (1.0 - x) / (x - 1.0)
     return partial + tail - 0.5 * n_terms ** (-x)

@@ -16,6 +16,13 @@ _chunk_words) that lose their NULs as they are written; blocks past int64
 keep one %-format per row. Mean values sum the same row blocks.
 Orthogonality sums are exact integer Gram matrices of period rows.
 
+No power r**s is formed past the budget it is held to: core_arith.power_at_most
+decides r**s <= bound from bit lengths first. It picks int64 or object grids
+(_grid_dtype), holds the exponential and orthogonality periods to
+EXPONENTIAL_ROUTE_LIMIT (_check_period), and lets a sieve whose column 0 is
+never read skip every stride d**s past its width (zero=False), so a huge s
+costs no more than a small one there.
+
 Every divisor sum over a range of n is one Dirichlet convolution
 sum_{d | n} f(d) g(n/d), computed by one numpy sieve, _dirichlet_sieve: the
 float sigma rows (f = d**x, g = 1), tau(r) (f = g = 1), and the exact column
@@ -45,6 +52,7 @@ from .core_arith import (  # ResourceLimitError and cr_sum_exact are re-exported
     divisors,
     factorize,
     is_power_free,
+    power_at_most,
 )
 
 # The exponential route costs O(r**s) per call; it exists for verification.
@@ -73,23 +81,28 @@ def _grid_dtype(r_max: int, s: int) -> type:
     """int64 when every c_r^s value and partial sum for r <= r_max fits, else object.
 
     A row's partial sums are bounded by sigma_s(r) <= r**s * (1 + ln r), and
-    ln r < r.bit_length().
+    ln r < r.bit_length(), so int64 holds them while r_max**s is at most
+    (2**63 - 1) // (r_max.bit_length() + 1).
     """
-    return np.int64 if r_max**s * (r_max.bit_length() + 1) < 2**63 else object
+    fits = power_at_most(r_max, s, (_INT64_LIMIT - 1) // (r_max.bit_length() + 1))
+    return np.int64 if fits is not None else object
 
 
 def _stride_sieve(
-    terms: Iterable[tuple[int, int, int]], rows: int, width: int, s: int, r_max: int
+    terms: Iterable[tuple[int, int, int]], rows: int, width: int, s: int, r_max: int, zero: bool
 ) -> np.ndarray:
     """Sieve a (rows, width) grid: for each (i, d, m), add m * d**s to row i along the stride d**s.
 
     Row i holds c_r^s(n) for 0 <= n < width when terms carry every (d, mu(r/d))
-    with d | r; r_max bounds the r involved and picks the dtype.
+    with d | r; r_max bounds the r involved and picks the dtype. A term whose
+    d**s passes width - 1 reaches n = 0 alone. With zero False column 0 is
+    left 0 and such a term is skipped, so its power is never formed.
     """
     grid = np.zeros((rows, width), dtype=_grid_dtype(r_max, s))
     for i, d, m in terms:
-        ds = d**s
-        grid[i, ::ds] += m * ds
+        ds = d**s if zero else power_at_most(d, s, width - 1)
+        if ds is not None:
+            grid[i, 0 if zero else ds :: ds] += m * ds
     return grid
 
 
@@ -112,34 +125,37 @@ def _check_cells(rows: int, n_max: int) -> None:
         raise ResourceLimitError(f"table of {cells} cells exceeds budget {MAX_TABLE_CELLS}")
 
 
-def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
+def _sieve_rows(r_values: Sequence[int], n_max: int, s: int, zero: bool = True) -> np.ndarray:
     """c_r^s(n) for 0 <= n <= n_max, one row per entry of r_values, in that order.
 
     Row i gets mu(r/d) * d**s along the stride of d**s for every term of
     _mobius_terms(r_values[i]), so a row costs one factorize and 2**omega(r)
     strides, however large r is. The grid is held to MAX_TABLE_CELLS before
-    anything is sieved.
+    anything is sieved. zero False leaves column 0 at 0 for callers that
+    never read it: c_r^s(0) = J_s(r) is the one value that needs r**s.
     """
     _check_cells(len(r_values), n_max)
     terms = ((i, d, m) for i, r in enumerate(r_values) for d, m in _mobius_terms(r))
-    return _stride_sieve(terms, len(r_values), n_max + 1, s, max(r_values, default=1))
+    return _stride_sieve(terms, len(r_values), n_max + 1, s, max(r_values, default=1), zero)
 
 
-def _sieved_blocks(r_values: Sequence[int], n_max: int, s: int) -> Iterator[np.ndarray]:
-    """_sieve_rows(r_values, n_max, s) in consecutive row blocks of about _BLOCK_CELLS cells."""
+def _sieved_blocks(
+    r_values: Sequence[int], n_max: int, s: int, zero: bool = True
+) -> Iterator[np.ndarray]:
+    """_sieve_rows(r_values, n_max, s, zero) in consecutive blocks of about _BLOCK_CELLS cells."""
     step = max(1, _BLOCK_CELLS // (n_max + 1))
     for lo in range(0, len(r_values), step):
-        yield _sieve_rows(r_values[lo : lo + step], n_max, s)
+        yield _sieve_rows(r_values[lo : lo + step], n_max, s, zero)
 
 
 def _sieved_rows(r_values: Sequence[int], n_max: int, s: int) -> Iterator[np.ndarray]:
-    """The rows of _sieved_blocks(r_values, n_max, s).
+    """The rows of _sieved_blocks(r_values, n_max, s, zero=False), for sums over n >= 1.
 
     Each row is a copy, so a caller still holding the last row of a block
     does not keep that block alive while the next one is sieved: one block
     is held at a time.
     """
-    for block in _sieved_blocks(r_values, n_max, s):
+    for block in _sieved_blocks(r_values, n_max, s, zero=False):
         yield from map(np.copy, block)
 
 
@@ -298,21 +314,23 @@ def _power_row(limit: int, x: float) -> np.ndarray:
     integer that float64 holds exactly, so libm pow returns it exactly and the
     row is built as exact int64 powers. Otherwise each power is a scalar
     float ** (libm pow), the same bits as sigma_real; numpy's vectorized **
-    does not match them. A power past the float range, where pow would raise,
-    is refused before the row is built.
+    does not match them. A power past the float range, where pow would raise
+    (or, at x = inf, return inf), is refused before the row is built.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > MAX_SIGMA_LIMIT:
         raise ResourceLimitError(f"sigma row up to n = {limit} exceeds {MAX_SIGMA_LIMIT}")
-    if 0 <= x <= 53 and float(x).is_integer() and limit ** int(x) <= 2**53:
+    if 0 <= x <= 53 and float(x).is_integer() and power_at_most(limit, int(x), 2**53) is not None:
         row = np.arange(limit + 1, dtype=np.int64) ** int(x)
         row[0] = 0
         return row.astype(np.float64)
     try:
-        pow(float(limit), x)  # d**x grows with d when x > 0
+        top = pow(float(limit), x)  # d**x grows with d when x > 0
     except OverflowError:
-        raise ResourceLimitError(f"sigma row power {limit}**{x} exceeds the float range") from None
+        top = math.inf
+    if top == math.inf:
+        raise ResourceLimitError(f"sigma row power {limit}**{x} exceeds the float range")
     powers = map(pow, map(float, range(1, limit + 1)), repeat(x))
     return np.fromiter(chain((0.0,), powers), dtype=np.float64, count=limit + 1)
 
@@ -434,7 +452,7 @@ def cr_sum_exponential(r: int, n: int, s: int) -> complex:
     """
     check_exponent(s)
     _check_r_n(r, n)
-    period = r**s
+    period = _check_period(r, s)
     residues = s_reduced_residues(r, s)
     # Reduce n*h mod the period in exact integers so every angle is < 2*pi.
     k = (residues * (n % period)) % period
@@ -477,12 +495,14 @@ def ramanujan_sum_oracle(r: int, n: int) -> int:
 
 
 def _check_period(r: int, s: int) -> int:
-    """r**s, held to EXPONENTIAL_ROUTE_LIMIT: exponential and orthogonality sums have r**s terms."""
-    period = r**s
-    if period > EXPONENTIAL_ROUTE_LIMIT:
-        raise ResourceLimitError(
-            f"r**s = {period} exceeds the exponential-route limit {EXPONENTIAL_ROUTE_LIMIT}"
-        )
+    """r**s, held to EXPONENTIAL_ROUTE_LIMIT: exponential and orthogonality sums have r**s terms.
+
+    A power past the limit is never formed, and the message names it as r**s.
+    """
+    period = power_at_most(r, s, EXPONENTIAL_ROUTE_LIMIT)
+    if period is None:
+        limit = EXPONENTIAL_ROUTE_LIMIT
+        raise ResourceLimitError(f"{r}**{s} exceeds the exponential-route limit {limit}")
     return period
 
 

@@ -11,12 +11,13 @@ fhat(r) -> fhat(r) * c_r^s(h) / Phi_s(r**s).
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core_arith import ResourceLimitError, check_exponent, jordan_totient, zeta
+from .core_arith import ResourceLimitError, check_exponent, jordan_totient, power_at_most, zeta
 from .cr_sum import (
     _check_cells, _cr_column, _cr_values_at_root, _dirichlet_sieve, _rounded, _running_sums,
     _sieved_rows, _weighted_sum, cr_values_fixed_n,
@@ -97,20 +98,24 @@ def evaluate(family: ExpansionCoefficients, n: int) -> float:
     """Evaluate the truncated series at n.
 
     Uses the exact integer c values and a single float multiply-accumulate
-    in fixed ascending-r order, so results are reproducible. An empty
-    truncation evaluates to 0.
+    in fixed ascending-r order, so results are reproducible. A 0.0
+    coefficient adds exactly +-0, so the sum stops at the last nonzero
+    coefficient and no c value past it (c_r^s(n**s) = J_s(r) for r | n) is
+    formed; a truncation without one evaluates to 0.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not family.coeffs:
+    coeffs = np.array(family.coeffs)
+    nonzero = np.flatnonzero(coeffs)
+    if not len(nonzero):
         return 0.0
-    r_max, s = len(family.coeffs), family.s
+    r_max, s = int(nonzero[-1]) + 1, family.s
     if family.argument_mode == PLAIN_N:
         c_values = _cr_column(n, s, r_max)
     else:
         # c_r^s(n**s): the s-th root part of n**s is n, so n**s is never factorized.
         c_values = _cr_values_at_root(n, s, r_max)
-    return _weighted_sum(np.array(family.coeffs), c_values)
+    return _weighted_sum(coeffs[:r_max], c_values)
 
 
 def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: int) -> list[float]:
@@ -120,7 +125,9 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     Each sum runs in ascending n, so it equals a Python loop over n bit for bit,
     on rows sieved straight to N in row blocks of about _BLOCK_CELLS cells (one
     block is held at a time), with all R * (N + 1) cells held to
-    MAX_TABLE_CELLS before any sieving.
+    MAX_TABLE_CELLS before any sieving. The rows leave out n = 0, and a
+    divisor Phi_s(r**s) = J_s(r) >= r**(s - 1) that would round the quotient
+    to 0 is never formed.
     When r**s | N whole periods of c_r^s are averaged (see is_period_exact); no
     N -> infinity extrapolation is attempted.
     """
@@ -133,9 +140,18 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     _check_cells(len(r_values), n_limit)
     rows = _sieved_rows(r_values, n_limit, s)
     sums = (_running_sums(f_values, row, 0, (n_limit,))[0] for row in rows)
-    # Python's division even past the float range; + 0.0 turns an underflowed -0.0 into 0.0
     means = zip(r_values, (total / n_limit for total in sums))
-    return [_rounded(operator.truediv, m, jordan_totient(r, s)) + 0.0 for r, m in means]
+    # A finite mean is below 2**max_exp and the least subnormal is 2**(min_exp - mant_dig),
+    # so once J_s(r) >= r**(s - 1) reaches 2**(max_exp - min_exp + mant_dig + 1) the
+    # quotient is below half the least subnormal and rounds to +-0.
+    info = sys.float_info
+    underflow = 2 ** (info.max_exp - info.min_exp + info.mant_dig + 1) - 1
+    # Python's division even past the float range; + 0.0 turns an underflowed -0.0 into 0.0
+    return [
+        0.0 if power_at_most(r, s - 1, underflow) is None
+        else _rounded(operator.truediv, m, jordan_totient(r, s)) + 0.0
+        for r, m in means
+    ]
 
 
 def is_period_exact(r: int, s: int, n_limit: int) -> bool:
@@ -143,7 +159,8 @@ def is_period_exact(r: int, s: int, n_limit: int) -> bool:
     check_exponent(s)
     if r < 1 or n_limit < 1:
         raise ValueError("r and n_limit must be >= 1")
-    return n_limit % r**s == 0
+    period = power_at_most(r, s, n_limit)
+    return period is not None and n_limit % period == 0
 
 
 def shift_coefficients(family: ExpansionCoefficients, h: int) -> ExpansionCoefficients:

@@ -348,6 +348,14 @@ def test_sieve_row_over_one_period_matches_exact():
             assert len(row) == r**s
             assert all(type(v) is int for v in row)
             assert row == [cr_sum_exact(r, n, s) for n in range(r**s)]
+            assert cr_sum._sieve_rows((r,), r**s - 1, s, zero=False)[0].tolist() == [0] + row[1:]
+
+
+def test_sieve_rows_without_column_zero_never_form_a_huge_power():
+    # at s = 10**7 only d = 1 has d**s <= 50, so c_r^s(n) = mu(r) for 1 <= n <= 50;
+    # c_r^s(0) = J_s(r) would have millions of digits and is left out
+    rows = cr_sum._sieve_rows((30, 7, 4, 1), 50, 10**7, zero=False)
+    assert rows.tolist() == [[0] + [mu] * 50 for mu in (-1, -1, 0, 1)]
 
 
 def test_sieve_rows_cost_follows_the_rows_asked_for(monkeypatch):
@@ -401,8 +409,8 @@ def test_streamed_table_crosses_block_boundaries(tmp_path, monkeypatch, r_max, n
     blocks = []
     sieve_rows = cr_sum._sieve_rows
 
-    def spy(r_values, n, s):
-        blocks.append(sieve_rows(r_values, n, s))
+    def spy(r_values, n, s, *zero):
+        blocks.append(sieve_rows(r_values, n, s, *zero))
         return blocks[-1]
 
     monkeypatch.setattr(cr_sum, "_sieve_rows", spy)
