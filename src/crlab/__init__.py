@@ -53,6 +53,7 @@ _LAZY_EXPORTS = {
         "shift_coefficients",
         "sigma_expansion",
         "tau_weighted_norm",
+        "write_coefficients_csv",
     ),
     "asymptotics": (
         "CorrelationConfig",

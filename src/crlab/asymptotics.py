@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .core_arith import (  # HDecomposition and decompose_h are re-exported
 from .cr_sum import (
     MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
     _INT64_LIMIT,
+    _TEXT_BLOCK,
+    _ascii_text,
     _check_cells,
     _cr_column,
     _dirichlet_sieve,
@@ -39,17 +41,15 @@ from .cr_sum import (
     _running_sums,
     _sieve_rows,
     _weighted_sum,
+    _write_rows,
 )
 from .expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4")
 
 # Largest lemma grid, in points. Each point holds a slot in seven report
-# columns and a line of output, a few hundred bytes in all.
+# columns; its line of output is written one block of points at a time.
 MAX_LEMMA_POINTS = 1_000_000
-
-# Lemma report points formatted per block of text.
-_TEXT_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +243,23 @@ class CorrelationReport:
     params: tuple[tuple[str, float | int], ...]
     records: tuple[CorrelationRecord, ...]
 
-    def to_json_text(self) -> str:
+    def write_json(self, handle: BinaryIO) -> None:
+        """Write the report as one line of JSON, ASCII bytes."""
         params = ",".join(f'"{key}":{_json_number(val)}' for key, val in self.params)
-        record = '{"N":%d,"lhs":%.17g,"main_term":%.17g,"ratio":%.17g}'
-        records = ",".join(map(record.__mod__, self.records))
-        return '{"theorem":"%s","params":{%s},"records":[%s]}\n' % (self.theorem, params, records)
+        head = '{"theorem":"%s","params":{%s},"records":[' % (self.theorem, params)
+        record = b'{"N":%d,"lhs":%.17g,"main_term":%.17g,"ratio":%.17g}'
+        _write_rows(handle, head.encode("ascii"), record, self.records, b",", b"]}\n")
+
+    def write_csv(self, handle: BinaryIO) -> None:
+        """Write the records as CSV (header N,lhs,main_term,ratio), ASCII bytes."""
+        head, record = b"N,lhs,main_term,ratio\n", b"%d,%.17g,%.17g,%.17g\n"
+        _write_rows(handle, head, record, self.records, b"", b"")
+
+    def to_json_text(self) -> str:
+        return _ascii_text(self.write_json)
 
     def to_csv_text(self) -> str:
-        record = "%d,%.17g,%.17g,%.17g\n"
-        return "N,lhs,main_term,ratio\n" + "".join(map(record.__mod__, self.records))
+        return _ascii_text(self.write_csv)
 
 
 def _json_number(value: float | int) -> str:
@@ -362,29 +370,37 @@ class LemmaCheckReport:
     @property
     def entries(self) -> tuple[LemmaEntry, ...]:
         """The points as LemmaEntry tuples, built on each access."""
-        points = zip(self._rows(0, None), self.passed.tolist())
+        points = zip(self._rows(), self.passed.tolist())
         return tuple(LemmaEntry(*row, passed) for row, passed in points)
 
-    def _rows(self, lo: int, hi: int | None) -> Iterator[tuple]:
-        """(r, k, s, h, N, measured, bound, normalized) of the points lo:hi, as Python values."""
-        columns = (self.r, self.k, self.n_limit, self.measured, self.bound, self.normalized)
-        r, k, n, *floats = (column[lo:hi].tolist() for column in columns)
-        return zip(r, k, repeat(self.s), repeat(self.h), n, *floats)
+    def _rows(self) -> Iterator[tuple]:
+        """(r, k, s, h, N, measured, bound, normalized) of every point as Python values.
 
-    def _join(self, point: str, sep: str) -> str:
-        """sep.join of point % row over the rows, formatted _TEXT_BLOCK rows at a time."""
-        blocks = (self._rows(lo, lo + _TEXT_BLOCK) for lo in range(0, len(self.r), _TEXT_BLOCK))
-        return sep.join(sep.join(map(point.__mod__, rows)) for rows in blocks)
+        The columns are converted _TEXT_BLOCK points at a time, so a writer
+        never holds a Python object per point of the whole grid.
+        """
+        columns = (self.r, self.k, self.n_limit, self.measured, self.bound, self.normalized)
+        for lo in range(0, len(self.r), _TEXT_BLOCK):
+            r, k, n, *floats = (column[lo : lo + _TEXT_BLOCK].tolist() for column in columns)
+            yield from zip(r, k, repeat(self.s), repeat(self.h), n, *floats)
+
+    def write_json(self, handle: BinaryIO) -> None:
+        """Write the report as one line of JSON, ASCII bytes, one block of points at a time."""
+        point = b'{"r":%d,"k":%d,"s":%d,"h":%d,"N":%d,"measured":%.17g,"bound":%.17g,'
+        head = b'{"lemma":"%s","grid":[' % self.lemma_id.encode("ascii")
+        tail = b'],"max_normalized":%.17g}\n' % self.max_normalized
+        _write_rows(handle, head, point + b'"normalized":%.17g}', self._rows(), b",", tail)
+
+    def write_csv(self, handle: BinaryIO) -> None:
+        """Write the points as CSV (header r,k,s,h,N,measured,bound,normalized), ASCII bytes."""
+        head = b"r,k,s,h,N,measured,bound,normalized\n"
+        _write_rows(handle, head, b"%d,%d,%d,%d,%d,%.17g,%.17g,%.17g\n", self._rows(), b"", b"")
 
     def to_json_text(self) -> str:
-        point = '{"r":%d,"k":%d,"s":%d,"h":%d,"N":%d,"measured":%.17g,"bound":%.17g,'
-        grid = self._join(point + '"normalized":%.17g}', ",")
-        text = '{"lemma":"%s","grid":[%s],"max_normalized":%.17g}\n'
-        return text % (self.lemma_id, grid, self.max_normalized)
+        return _ascii_text(self.write_json)
 
     def to_csv_text(self) -> str:
-        grid = self._join("%d,%d,%d,%d,%d,%.17g,%.17g,%.17g\n", "")
-        return "r,k,s,h,N,measured,bound,normalized\n" + grid
+        return _ascii_text(self.write_csv)
 
 
 def _float_column(exact: np.ndarray, lemma_id: str, what: str) -> np.ndarray:

@@ -13,9 +13,10 @@ handler imports the modules it uses, so `--help`, `decompose` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import sys
-from typing import Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from .core_arith import (
     ResourceLimitError,
@@ -46,12 +47,26 @@ def parse_schedule(text: str) -> tuple[int, ...]:
     return values
 
 
-def _write_output(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[BinaryIO]:
+    """The binary handle every command writes its file to: --out, else stdout.
+
+    A text-only stdout such as io.StringIO gets the bytes as ASCII text at
+    the end. Commands compute their results first and open this last, so a
+    refused run leaves no file.
+    """
+    if path is not None:
+        with open(path, "wb") as handle:
+            yield handle
         return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    sys.stdout.flush()
+    stream = getattr(sys.stdout, "buffer", None)
+    if stream is not None:
+        yield stream
+        return
+    buffer = io.BytesIO()
+    yield buffer
+    sys.stdout.write(buffer.getvalue().decode("ascii"))
 
 
 def _cmd_crsum(args: argparse.Namespace) -> int:
@@ -79,20 +94,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     cr_sum._check_table(args.r, args.n, args.s)
     cr_sum._check_digits(args.r, args.s)
-    if args.out is None:
-        sys.stdout.flush()
-        stream = getattr(sys.stdout, "buffer", None)
-        if stream is None:  # a text-only replacement such as io.StringIO
-            buffer = io.BytesIO()
-            cr_sum._stream_table_csv(buffer, args.r, args.n, args.s)
-            sys.stdout.write(buffer.getvalue().decode("ascii"))
-        else:
-            cr_sum._stream_table_csv(stream, args.r, args.n, args.s)
-        return EXIT_OK
-    with open(args.out, "wb") as handle:
+    with _output(args.out) as handle:
         cr_sum._stream_table_csv(handle, args.r, args.n, args.s)
-    cells = args.r * (args.n + 1)
-    print(f"table r_max={args.r} n_max={args.n} s={args.s}: {cells} cells -> {args.out}")
+    if args.out is not None:
+        cells = args.r * (args.n + 1)
+        print(f"table r_max={args.r} n_max={args.n} s={args.s}: {cells} cells -> {args.out}")
     return EXIT_OK
 
 
@@ -100,14 +106,11 @@ def _cmd_orthogonality(args: argparse.Namespace) -> int:
     from . import cr_sum
 
     grid = cr_sum.orthogonality_grid(args.r, args.s)
-    lines = ["d,t,value"]
-    failures = 0
-    for d, t, value in grid:
-        expected = jordan_totient(d, args.s) if d == t else 0
-        if value != expected:
-            failures += 1
-        lines.append(f"{d},{t},{value}")
-    _write_output(args.out, "\n".join(lines) + "\n")
+    failures = sum(value != (jordan_totient(d, args.s) if d == t else 0) for d, t, value in grid)
+    # every value is an integer: _period_gram checks that r**s divides each inner sum
+    rows = ((d, t, int(value)) for d, t, value in grid)
+    with _output(args.out) as handle:
+        cr_sum._write_rows(handle, b"d,t,value\n", b"%d,%d,%d\n", rows, b"", b"")
     pairs = len(grid)
     if failures:
         print(f"orthogonality r={args.r} s={args.s}: {failures}/{pairs} pairs FAILED", file=sys.stderr)
@@ -121,7 +124,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     from . import expansion
 
     family = expansion.sigma_expansion(args.k, args.s, args.R)
-    _write_output(args.out, expansion.coefficients_to_csv_text(family))
+    with _output(args.out) as handle:
+        expansion.write_coefficients_csv(handle, family)
     norm = expansion.tau_weighted_norm(family)
     summary = f"sigma family k={args.k} s={args.s} R={args.R}: tau-weighted norm {norm:.6g}"
     if args.n is not None:
@@ -170,7 +174,8 @@ def _cmd_meanvalue(args: argparse.Namespace) -> int:
             coeffs=tuple(coeffs),
             provenance=f"mean_value(method={args.method}, N={args.N})",
         )
-        _write_output(args.out, expansion.coefficients_to_csv_text(family))
+        with _output(args.out) as handle:
+            expansion.write_coefficients_csv(handle, family)
         if args.out is not None:
             print(f"mean-value coefficients r=1..{args.R} (N={args.N}) -> {args.out}")
         return EXIT_OK
@@ -185,7 +190,8 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
     family = expansion.as_plain_n(expansion.sigma_expansion(args.k, args.s, args.R))
     shifted = expansion.shift_coefficients(family, args.h)
-    _write_output(args.out, expansion.coefficients_to_csv_text(shifted))
+    with _output(args.out) as handle:
+        expansion.write_coefficients_csv(handle, shifted)
     if args.out is not None:
         print(
             f"shifted sigma family k={args.k} R={args.R} h={args.h}: "
@@ -209,8 +215,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         r_truncation=args.R,
     )
     report = asymptotics.run_correlation_report(config)
-    text = report.to_json_text() if args.format == "json" else report.to_csv_text()
-    _write_output(args.out, text)
+    with _output(args.out) as handle:
+        (report.write_json if args.format == "json" else report.write_csv)(handle)
     if args.out is not None:
         final = report.records[-1]
         print(f"{report.theorem} N={final.n_limit}: ratio {final.ratio:.6g}")
@@ -225,8 +231,8 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
     report = asymptotics.lemma_check(
         lemma_id, range(1, args.rmax + 1), range(1, args.kmax + 1), args.s, args.h, schedule
     )
-    text = report.to_json_text() if args.format == "json" else report.to_csv_text()
-    _write_output(args.out, text)
+    with _output(args.out) as handle:
+        (report.write_json if args.format == "json" else report.write_csv)(handle)
     points = len(report.passed)
     if lemma_id == "L2":
         if args.out is not None:

@@ -40,6 +40,10 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # and one gcd of the product tests the whole batch.
 _RHO_BATCH = 128
 
+# Python's default int-to-str limit, the digit budget of c_r^s values when
+# the limit is off or absent (before Python 3.10.7 and 3.11).
+_DEFAULT_STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+
 
 class ResourceLimitError(RuntimeError):
     """A computation was rejected because it exceeds a declared budget."""
@@ -278,18 +282,20 @@ def _check_digits(r_max: int, s: int, value: int | None = None) -> None:
     |c_r^s(n)| <= J_s(r) <= r**s - 1 for r >= 2, so every value of a table
     over r <= r_max prints once r_max**s <= 10**limit, which power_at_most
     decides without forming a longer power. A single value is checked as it
-    is. Either way the check runs before any output.
+    is. Either way the check runs before any output. With the limit off (0),
+    or on a Python without one, Python's default limit still bounds r**s.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    name = "int-to-str limit"
     if not limit:
-        return
+        limit, name = _DEFAULT_STR_DIGITS, "default int-to-str limit"
     if value is None:
         too_long = power_at_most(r_max, s, 10**limit) is None
     else:
         too_long = abs(value) >= 10**limit
     if too_long:
         raise ResourceLimitError(
-            f"c_r^s values for r <= {r_max} at s = {s} exceed the int-to-str limit of {limit} digits"
+            f"c_r^s values for r <= {r_max} at s = {s} exceed the {name} of {limit} digits"
         )
 
 

@@ -13,7 +13,9 @@ however large the table is. The CSV text of an int64 block is built by numpy
 in tiles of about _TILE_CELLS cells, as rows of NUL-padded uint32 words per
 cell (r and n labels, then the value in 3-digit chunks looked up in
 _chunk_words) that lose their NULs as they are written; blocks past int64
-keep one %-format per row. Mean values sum the same row blocks.
+keep one %-format per row. Every other file (lemma and correlation
+reports, coefficient and orthogonality CSV) is written by _write_rows,
+_TEXT_BLOCK %-formatted rows at a time. Mean values sum the same row blocks.
 Orthogonality sums are exact integer Gram matrices of period rows.
 
 No power r**s is formed past the budget it is held to: core_arith.power_at_most
@@ -21,7 +23,7 @@ decides r**s <= bound from bit lengths first. It picks int64 or object grids
 (_grid_dtype), holds the exponential and orthogonality periods to
 EXPONENTIAL_ROUTE_LIMIT (_check_period), and lets a sieve whose column 0 is
 never read skip every stride d**s past its width (zero=False), so a huge s
-costs no more than a small one there.
+costs no more than a small one there and its rows stay int64.
 
 Every divisor sum over a range of n is one Dirichlet convolution
 sum_{d | n} f(d) g(n/d), computed by one numpy sieve, _dirichlet_sieve: the
@@ -38,7 +40,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -68,6 +70,9 @@ _BLOCK_CELLS = 2**20
 # Cells per tile of CSV text from an int64 block.
 _TILE_CELLS = 2**15
 
+# Rows of a report (lemma points, coefficients, ...) formatted per write.
+_TEXT_BLOCK = 2**12
+
 # Largest n a sigma row is built for. A correlate run holds at most three
 # float64 rows of about N + h cells at once (f, g and the power row or the
 # running sums), so at this limit it peaks near 0.5 GB.
@@ -96,9 +101,12 @@ def _stride_sieve(
     Row i holds c_r^s(n) for 0 <= n < width when terms carry every (d, mu(r/d))
     with d | r; r_max bounds the r involved and picks the dtype. A term whose
     d**s passes width - 1 reaches n = 0 alone. With zero False column 0 is
-    left 0 and such a term is skipped, so its power is never formed.
+    left 0 and such a term is skipped, so its power is never formed, and the
+    grid is int64 whatever r_max and s: every partial sum at n >= 1 is a sum
+    of distinct divisors d**s of n, at most sigma(n) < 2**63 for any n
+    within MAX_TABLE_CELLS.
     """
-    grid = np.zeros((rows, width), dtype=_grid_dtype(r_max, s))
+    grid = np.zeros((rows, width), dtype=_grid_dtype(r_max, s) if zero else np.int64)
     for i, d, m in terms:
         ds = d**s if zero else power_at_most(d, s, width - 1)
         if ds is not None:
@@ -286,6 +294,32 @@ def _write_csv(handle: BinaryIO, blocks: Iterable[np.ndarray], n_max: int) -> No
         r += len(block)
         del block  # else it stays bound while a generator of blocks sieves the next
     handle.write(b"\n")
+
+
+def _write_rows(
+    handle: BinaryIO, head: bytes, row: bytes, rows: Iterable[tuple], sep: bytes, tail: bytes
+) -> None:
+    """Write head, row % values for each tuple of rows with sep between them, then tail.
+
+    The rows are formatted and written _TEXT_BLOCK at a time, so a writer
+    holds one block of text however many rows there are. Every report and
+    coefficient file is written here; the table CSV has _write_csv.
+    """
+    handle.write(head)
+    rows = iter(rows)
+    lead = b""
+    while text := sep.join(map(row.__mod__, islice(rows, _TEXT_BLOCK))):
+        handle.write(lead)
+        handle.write(text)
+        lead = sep
+    handle.write(tail)
+
+
+def _ascii_text(write: Callable[..., None], *args: object) -> str:
+    """The text that write(handle, *args) writes, for the to_*_text exports."""
+    buffer = io.BytesIO()
+    write(buffer, *args)
+    return buffer.getvalue().decode("ascii")
 
 
 def _stream_table_csv(handle: BinaryIO, r_max: int, n_max: int, s: int) -> None:
@@ -647,9 +681,7 @@ class CRSumTable:
         _write_csv(handle, (self.values,), self.n_max)
 
     def to_csv_text(self) -> str:
-        buffer = io.BytesIO()
-        self.write_csv(buffer)
-        return buffer.getvalue().decode("ascii")
+        return _ascii_text(self.write_csv)
 
 
 def build_table(r_max: int, n_max: int, s: int) -> CRSumTable:

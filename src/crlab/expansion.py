@@ -13,14 +13,14 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, power_at_most, zeta
 from .cr_sum import (
-    _check_cells, _cr_column, _cr_values_at_root, _dirichlet_sieve, _rounded, _running_sums,
-    _sieved_rows, _weighted_sum, cr_values_fixed_n,
+    _ascii_text, _check_cells, _cr_column, _cr_values_at_root, _dirichlet_sieve, _rounded,
+    _running_sums, _sieved_rows, _weighted_sum, _write_rows, cr_values_fixed_n,
 )
 
 PLAIN_N = "plain_n"
@@ -198,9 +198,14 @@ def tau_weighted_norm(family: ExpansionCoefficients) -> float:
     return _weighted_sum(np.abs(family.coeffs), tau)
 
 
+def write_coefficients_csv(handle: BinaryIO, family: ExpansionCoefficients) -> None:
+    """Write the CSV export (header r,coefficient) as ASCII bytes, 17 significant digits."""
+    _write_rows(handle, b"r,coefficient\n", b"%d,%.17g\n", enumerate(family.coeffs, 1), b"", b"")
+
+
 def coefficients_to_csv_text(family: ExpansionCoefficients) -> str:
     """CSV export: header r,coefficient; floats at 17 significant digits."""
-    return "r,coefficient\n" + "".join(map("%d,%.17g\n".__mod__, enumerate(family.coeffs, 1)))
+    return _ascii_text(write_coefficients_csv, family)
 
 
 def coefficients_from_csv_text(

@@ -4,6 +4,7 @@ the lemma bound grids."""
 import functools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -480,6 +481,34 @@ def test_lemma_report_serialization():
     lines = report.to_csv_text().splitlines()
     assert lines[0] == "r,k,s,h,N,measured,bound,normalized"
     assert len(lines) == 2
+
+
+class _ByteCounter:
+    """A binary sink that keeps only the number of bytes written."""
+
+    def __init__(self) -> None:
+        self.size = 0
+
+    def write(self, data: bytes) -> None:
+        self.size += len(data)
+
+
+def test_lemma_json_writer_memory_is_one_text_block():
+    # the points go out _TEXT_BLOCK at a time: the writer holds one block of
+    # text, its row pieces and its Python values, never the whole text
+    report = lemma_check("L4", range(1, 257), range(1, 257), 1, 0, (10, 20, 30, 40))
+    points = len(report.r)
+    assert points == 2**18
+    sink = _ByteCounter()
+    tracemalloc.start()
+    try:
+        report.write_json(sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size == len(report.to_json_text()) > 20 * 10**6
+    block_text = sink.size * asymptotics._TEXT_BLOCK // points
+    assert peak < 8 * block_text < sink.size // 8
 
 
 def _exact_product_sum(r: int, k: int, s: int, h: int, n_limit: int) -> int:

@@ -88,14 +88,37 @@ def test_table_output_and_determinism(tmp_path, capsys):
     assert first == "1,0,1"
 
 
-def test_table_stdout_matches_file(tmp_path, capsysbinary):
-    path = tmp_path / "t.csv"
-    argv = ["table", "--r", "9", "--n", "33", "--s", "2"]
+_CORRELATE = ["correlate", "--a", "2", "--b", "2", "--s", "1", "--h", "2", "--N", "10,100,1000"]
+_LEMMAS = ["lemmas", "--which", "3", "--rmax", "5", "--kmax", "4", "--s", "2", "--h", "1", "--N", "10,20"]
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["table", "--r", "9", "--n", "33", "--s", "2"], b"r,n,value\n1,0,1\n"),
+        (["orthogonality", "--r", "12", "--s", "2"], b"d,t,value\n1,1,1\n"),
+        (["expand", "--k", "1", "--s", "1", "--R", "30"], b"r,coefficient\n1,"),
+        (["shift", "--k", "1", "--R", "30", "--h", "4"], b"r,coefficient\n1,"),
+        (["meanvalue", "--k", "2", "--s", "1", "--N", "600", "--R", "9"], b"r,coefficient\n1,"),
+        (_CORRELATE, b'{"theorem":"corollary","params":{"a":2,"b":2,"s":1,"h":2},"records":[{"N":10,'),
+        (_CORRELATE + ["--format", "csv"], b"N,lhs,main_term,ratio\n10,"),
+        (_LEMMAS, b'{"lemma":"L3","grid":[{"r":1,"k":1,"s":2,"h":1,"N":10,'),
+        (_LEMMAS + ["--format", "csv"], b"r,k,s,h,N,measured,bound,normalized\n1,1,2,1,10,"),
+    ],
+    ids=["table", "orthogonality", "expand", "shift", "meanvalue", "correlate-json",
+         "correlate-csv", "lemmas-json", "lemmas-csv"],
+)
+def test_stdout_matches_file(tmp_path, capsysbinary, monkeypatch, argv, head):
+    # binary stdout, a text-only stdout and --out carry the same bytes
+    path = tmp_path / "out"
     assert main(argv) == EXIT_OK
     streamed = capsysbinary.readouterr().out
+    assert streamed.startswith(head) and streamed.endswith(b"\n")
     assert main(argv + ["--out", str(path)]) == EXIT_OK
     assert streamed == path.read_bytes()
-    assert streamed.startswith(b"r,n,value\n1,0,1\n")
+    # report rows go out in blocks; blocks of 2 and 3 rows must not change a byte
+    monkeypatch.setattr(cr_sum, "_TEXT_BLOCK", 2)
+    monkeypatch.setattr(asymptotics, "_TEXT_BLOCK", 3)
     with contextlib.redirect_stdout(io.StringIO()) as text_out:
         assert main(argv) == EXIT_OK
     assert text_out.getvalue().encode() == streamed
@@ -159,6 +182,22 @@ def test_table_and_crsum_digit_budget_edge(capsys):
         assert code == EXIT_RESOURCE and out == "" and "int-to-str" in err
     code, out, err = run_cli(capsys, "crsum", "--r", "720720", "--n", "0", "--s", "20000")
     assert code == EXIT_RESOURCE and out == "" and "int-to-str" in err
+
+
+def test_digit_budget_holds_with_the_int_to_str_limit_off(capsys):
+    # limit 0 switches Python's check off; the default limit still bounds r**s
+    with int_str_digits(0):
+        for argv in (
+            ["crsum", "--r", "400", "--n", "0", "--s", "10000000"],
+            ["table", "--r", "12", "--n", "0", "--s", "10000000"],
+            ["crsum", "--r", "10", "--n", "0", "--s", "4301"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_RESOURCE and out == ""
+            assert "default int-to-str limit of 4300 digits" in err
+        # 10**4300 - 1 has 4300 digits, and J_s(10) < 10**s
+        code, out, _ = run_cli(capsys, "crsum", "--r", "10", "--n", "0", "--s", "4300")
+        assert (code, out) == (EXIT_OK, f"{jordan_totient(10, 4300)}\n")
 
 
 def test_threads_flag_is_rejected(tmp_path):

@@ -358,6 +358,18 @@ def test_sieve_rows_without_column_zero_never_form_a_huge_power():
     assert rows.tolist() == [[0] + [mu] * 50 for mu in (-1, -1, 0, 1)]
 
 
+def test_sieve_rows_without_column_zero_are_int64():
+    # n >= 1 values are sums of distinct divisors d**s of n, at most sigma(n),
+    # so these rows stay int64 where a table over the same r and s is object
+    assert cr_sum._sieve_rows((2,), 100, 62, zero=False).dtype == np.int64
+    r_values, n_max, s = (210, 2**16, 10**5, 1), 2500, 4
+    assert _grid_dtype(max(r_values), s) is object
+    rows = cr_sum._sieve_rows(r_values, n_max, s, zero=False)
+    assert rows.dtype == np.int64
+    for r, row in zip(r_values, rows.tolist()):
+        assert row == [0] + [cr_sum_exact(r, n, s) for n in range(1, n_max + 1)], r
+
+
 def test_sieve_rows_cost_follows_the_rows_asked_for(monkeypatch):
     # each row's terms come from factorize(r), so no Mobius table up to the
     # largest r is built and a large or prime r costs 2**omega(r) strides
