@@ -418,6 +418,21 @@ def _axis_length(axis: Sequence[int]) -> int:
     return len(axis)
 
 
+def _l3_dtype(rk_max: int, s: int, n_max: int, h: int, taus: int) -> type:
+    """int64 when both sides of the exact L3 test fit it, else object (Python ints).
+
+    The test is sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2. |sum| is at
+    most N (rk)**s, so its square fits while N rk_max**s <= isqrt(2**63 - 1);
+    with taus the largest tau(r) tau(k), the right side fits while
+    N (N+h) rk_max**s taus**2 < 2**63.
+    """
+    limit = min(
+        math.isqrt(_INT64_LIMIT - 1) // n_max,
+        (_INT64_LIMIT - 1) // (n_max * (n_max + h) * taus**2),
+    )
+    return np.int64 if power_at_most(rk_max, s, limit) is not None else object
+
+
 def lemma_check(
     lemma_id: str,
     r_values: Sequence[int],
@@ -503,7 +518,11 @@ def lemma_check(
         exact_bound = gcd_power[ri, ki] * n * tau_r * tau_k
         bound = _float_column(exact_bound, lemma_id, "bound")
     elif lemma_id in ("L2", "L3"):
-        rk = np.multiply.outer(r_axis.astype(object) ** s, k_axis.astype(object) ** s)
+        dtype = object
+        if lemma_id == "L3":
+            taus = int(tau[r_row].max()) * int(tau[k_row].max())
+            dtype = _l3_dtype(r_max * k_max, s, n_max, h, taus)
+        rk = np.multiply.outer(r_axis.astype(dtype) ** s, k_axis.astype(dtype) ** s)
         rk_float = _float_column(rk, lemma_id, "scale r**s k**s")
         if lemma_id == "L2":
             logs = np.array([math.log(x) for x in rk.flat]).reshape(rk.shape)
@@ -541,9 +560,9 @@ def lemma_check(
     if lemma_id == "L2":
         passed = np.ones(len(measured), dtype=bool)
     elif lemma_id == "L3":  # exactly: sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2
-        n_exact = n.astype(object)
-        square = n_exact * (n_exact + h) * rk[ri, ki] * (tau_r * tau_k).astype(object) ** 2
-        passed = (sums.astype(object) ** 2 <= square).astype(bool)
+        n_exact = n.astype(rk.dtype)
+        square = n_exact * (n_exact + h) * rk[ri, ki] * (tau_r * tau_k).astype(rk.dtype) ** 2
+        passed = (sums.astype(rk.dtype) ** 2 <= square).astype(bool)
     else:
         passed = sums <= exact_bound
     return LemmaCheckReport(lemma_id, s, h, r, k, n, measured, bound, measured / bound, passed)

@@ -10,12 +10,14 @@ numpy stride sieve. Tables are read-only int64 (or object) grids; the
 `table` command sieves row blocks of about _BLOCK_CELLS cells and writes each
 block straight to CSV, so it holds one block and no per-cell Python int,
 however large the table is. The CSV text of an int64 block is built by numpy
-in tiles of about _TILE_CELLS cells, as rows of NUL-padded uint32 words per
-cell (r and n labels, then the value in 3-digit chunks looked up in
-_chunk_words) that lose their NULs as they are written; blocks past int64
-keep one %-format per row. Every other file (lemma and correlation
-reports, coefficient and orthogonality CSV) is written by _write_rows,
-_TEXT_BLOCK %-formatted rows at a time. Mean values sum the same row blocks.
+in tiles of about _TILE_CELLS cells (_TileWriter), in one reused record of
+NUL-padded uint32 words per cell that lose their NULs as they are written:
+the r label, the ",n," label (built once per table) and the value (one
+lookup when the tile's values are below 1000 in size, else 3-digit chunks
+looked up in _chunk_words); blocks past int64 keep one %-format per row.
+Every other file (lemma and correlation reports, coefficient and
+orthogonality CSV) is written by _write_rows, _TEXT_BLOCK %-formatted rows at
+a time. Mean values sum the same row blocks.
 Orthogonality sums are exact integer Gram matrices of period rows.
 
 No power r**s is formed past the budget it is held to: core_arith.power_at_most
@@ -191,27 +193,43 @@ def _chunk_words() -> np.ndarray:
     neg = [b"-" + text for text in top]
     inner = [b"%03d" % c for c in range(1000)]
     variants = ([b""] + top[1:], [b""] + neg[1:], inner, top, neg)
-    texts = b"".join(text.rjust(4, b"\0") for text in chain.from_iterable(variants))
-    return np.frombuffer(texts, dtype=np.uint32)
+    return _words(chain.from_iterable(variants))
 
 
 _TOP, _NEG, _INNER, _LOWEST = 0, 1000, 2000, 3000
 
 
-def _label_words(values: np.ndarray, lead: bytes, tail: bytes) -> np.ndarray:
-    """lead + str(v) + tail for each v of a nonempty non-negative int row, as rows of uint32 words.
+@lru_cache(maxsize=None)
+def _small_words() -> np.ndarray:
+    """str(v) for -999 <= v <= 999 as one NUL-padded uint32 word each, at index v + 999."""
+    return _words(b"%d" % v for v in range(-999, 1000))
 
-    The digits are the chunk words of _value_words. Their first byte is NUL
-    (a non-negative chunk has at most 3 digits), so the one-byte lead takes
-    the first byte of the top chunk word; a nonempty tail is one more word.
+
+def _words(texts: Iterable[bytes]) -> np.ndarray:
+    """Texts of at most 4 bytes as uint32 words, NUL-padded in front."""
+    return np.frombuffer(b"".join(text.rjust(4, b"\0") for text in texts), dtype=np.uint32)
+
+
+def _label_words(lo: int, hi: int, lead: bytes, tail: bytes) -> np.ndarray:
+    """lead + str(v) + tail for each v in range(lo, hi) (0 <= lo < hi), as rows of uint32 words.
+
+    Every label takes the words the longest one needs, so ",19998," takes
+    two. The digits sit right before the tail; the bytes between the lead
+    and a shorter label's first digit are NUL, which the writer strips.
     """
-    chunks = -(-len(str(int(values.max()))) // 3)
-    words = np.empty((len(values), chunks + bool(tail)), dtype=np.uint32)
-    _value_words(values, np.zeros(len(values), dtype=bool), words[:, :chunks])
-    words.view(np.uint8)[:, 0] = ord(lead)
-    if tail:
-        words[:, -1] = np.frombuffer(tail.rjust(4, b"\0"), dtype=np.uint32)
-    return words
+    digits = len(str(hi - 1))
+    end = -(-(len(lead) + digits + len(tail)) // 4) * 4 - len(tail)
+    text = np.zeros((hi - lo, end + len(tail)), dtype=np.uint8)
+    text[:, : len(lead)] = np.frombuffer(lead, dtype=np.uint8)
+    text[:, end:] = np.frombuffer(tail, dtype=np.uint8)
+    q = np.arange(lo, hi, dtype=np.uint32 if hi <= 2**32 else np.uint64)  # uint32 divides faster
+    for k in range(digits):  # units first
+        rest = q // 10
+        np.add(q - rest * 10, ord("0"), out=text[:, end - 1 - k], casting="unsafe")
+        if k:
+            text[: max(0, 10**k - lo), end - 1 - k] = 0  # a value below 10**k has no digit k
+        q = rest
+    return text.view(np.uint32)
 
 
 def _value_words(q: np.ndarray, negative: np.ndarray, out: np.ndarray) -> None:
@@ -234,63 +252,92 @@ def _value_words(q: np.ndarray, negative: np.ndarray, out: np.ndarray) -> None:
         q = rest
 
 
-def _int_tile_bytes(r_words: np.ndarray, n_words: np.ndarray, tile: np.ndarray) -> bytes:
-    """The CSV cells "\nr,n,value" of an int64 tile, whose rows carry r_words and columns n_words.
+class _TileWriter:
+    """Writes the CSV cells "\nr,n,value" of int64 row blocks in tiles of about _TILE_CELLS cells.
 
-    The magnitudes are taken as uint64, in which |-2**63| is exact.
+    A tile is several rows of a narrow table or one n-window of a wide row.
+    Its text is a record of NUL-padded uint32 words per cell: the r label,
+    the ",n," label, then the value, one word from _small_words when every
+    |value| of the tile is below 1000, else its 3-digit chunk words. The
+    NULs are stripped as the tile is written. One record is reused from
+    tile to tile; it is reallocated only when the words per cell change or
+    a tile is larger, and its ",n," columns are rewritten only when the
+    tile's window or r-word count differs from the last one's.
     """
-    q = np.abs(tile).view(np.uint64)
-    chunks = -(-len(str(int(q.max()))) // 3)
-    r_end = r_words.shape[1]
-    n_end = r_end + n_words.shape[1]
-    record = np.empty(tile.shape + (n_end + chunks,), dtype=np.uint32)
-    record[:, :, :r_end] = r_words[:, None]
-    record[:, :, r_end:n_end] = n_words
-    _value_words(q, tile < 0, record[:, :, n_end:])
-    return record.tobytes().translate(None, b"\0")
 
+    def __init__(self, handle: BinaryIO, width: int) -> None:
+        self.handle = handle
+        self.width = width
+        # the ",n," words of every n, built once when their 4-byte words fit in a block's bytes
+        self.n_words = None
+        if width * 4 * -(-(len(str(width - 1)) + 2) // 4) <= _BLOCK_CELLS * 8:
+            self.n_words = _label_words(0, width, b",", b",")
+        self.record = np.empty((0, 0, 0), dtype=np.uint32)
+        self.labels = (-1, 0)  # the n_lo and r-word count of the ",n," words in the record
 
-def _block_text(block: np.ndarray, r: int, n_labels: np.ndarray | None) -> Iterator[bytes]:
-    """The CSV cells of a row block whose first row is r, in pieces to write.
+    def write(self, block: np.ndarray, r: int) -> None:
+        """Write the cells of an int64 row block whose first row is r.
 
-    An int64 block comes in tiles of about _TILE_CELLS cells: several rows of
-    a narrow table or one n-window of a wide row. n_labels holds the ",n,"
-    words of a row that fits in one tile; a wider row builds them per window.
-    An object block (values past int64) is one %-format of Python ints per
-    row, over a template of every n of the row.
-    """
-    width = block.shape[1]
-    if block.dtype == object:
-        tails = [b",%d,%%d" % n for n in range(width)]
-        for i, row in enumerate(block, start=r):
-            prefix = b"\n%d" % i
-            yield (prefix + prefix.join(tails)) % tuple(row.tolist())
-        return
-    step = max(1, _TILE_CELLS // width)
-    for lo in range(0, len(block), step):
-        rows = block[lo : lo + step]
-        r_words = _label_words(np.arange(r + lo, r + lo + len(rows)), b"\n", b"")
-        for n_lo in range(0, width, _TILE_CELLS):
-            n_hi = min(width, n_lo + _TILE_CELLS)
-            n_words = n_labels
-            if n_words is None:
-                n_words = _label_words(np.arange(n_lo, n_hi), b",", b",")
-            yield _int_tile_bytes(r_words, n_words, rows[:, n_lo:n_hi])
+        The r labels are built for whole tiles of at least 1024 rows at a
+        time, so a table of one-row tiles does not build one per row.
+        """
+        step = max(1, _TILE_CELLS // self.width)
+        group = step * -(-1024 // step)
+        for g in range(0, len(block), group):
+            r_words = _label_words(r + g, r + min(len(block), g + group), b"\n", b"")
+            for lo in range(0, len(r_words), step):
+                for n_lo in range(0, self.width, _TILE_CELLS):
+                    tile = block[g + lo : g + lo + step, n_lo : n_lo + _TILE_CELLS]
+                    self._write_tile(r_words[lo : lo + step], n_lo, tile)
+
+    def _write_tile(self, r_words: np.ndarray, n_lo: int, tile: np.ndarray) -> None:
+        """Write the cells of a tile whose rows carry r_words and whose first column is n_lo."""
+        low, high = int(tile.min()), int(tile.max())
+        chunks = -(-len(str(max(-low, high))) // 3)
+        n_words = self.n_words
+        if n_words is None:
+            n_words = _label_words(n_lo, n_lo + tile.shape[1], b",", b",")
+        else:
+            n_words = n_words[n_lo : n_lo + tile.shape[1]]
+        r_end = r_words.shape[1]
+        n_end = r_end + n_words.shape[1]
+        rows, cols, size = self.record.shape
+        if rows < len(tile) or cols < tile.shape[1] or size != n_end + chunks:
+            rows, cols = max(rows, len(tile)), max(cols, tile.shape[1])
+            self.record = np.empty((rows, cols, n_end + chunks), dtype=np.uint32)
+            self.labels = (-1, 0)
+        record = self.record[: len(tile), : tile.shape[1]]
+        if self.labels != (n_lo, r_end):
+            self.record[:, : tile.shape[1], r_end:n_end] = n_words
+            self.labels = (n_lo, r_end)
+        record[:, :, :r_end] = r_words[:, None]
+        if chunks == 1:
+            record[:, :, n_end] = _small_words().take(tile + 999)
+        else:
+            _value_words(np.abs(tile).view(np.uint64), tile < 0, record[:, :, n_end:])
+        self.handle.write(record.tobytes().translate(None, b"\0"))
 
 
 def _write_csv(handle: BinaryIO, blocks: Iterable[np.ndarray], n_max: int) -> None:
     """Write the table CSV (header r,n,value) of the row blocks of r = 1, 2, ..., in order.
 
-    Each cell is the text "\nr,n,value" and one newline closes the file; see
-    _block_text. A block is let go before the next one is drawn from blocks.
+    Each cell is the text "\nr,n,value" and one newline closes the file. An
+    int64 block goes through one _TileWriter for the whole table; an object
+    block (values past int64) is one %-format of Python ints per row, over a
+    template of every n of the row. A block is let go before the next one is
+    drawn from blocks.
     """
     handle.write(b"r,n,value")
-    width = n_max + 1
-    n_labels = _label_words(np.arange(width), b",", b",") if width <= _TILE_CELLS else None
+    tiles = _TileWriter(handle, n_max + 1)
     r = 1
     for block in blocks:
-        for text in _block_text(block, r, n_labels):
-            handle.write(text)
+        if block.dtype != object:
+            tiles.write(block, r)
+        else:
+            tails = [b",%d,%%d" % n for n in range(n_max + 1)]
+            for i, row in enumerate(block, start=r):
+                prefix = b"\n%d" % i
+                handle.write((prefix + prefix.join(tails)) % tuple(row.tolist()))
         r += len(block)
         del block  # else it stays bound while a generator of blocks sieves the next
     handle.write(b"\n")

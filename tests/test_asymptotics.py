@@ -511,6 +511,42 @@ def test_lemma_json_writer_memory_is_one_text_block():
     assert peak < 8 * block_text < sink.size // 8
 
 
+def _lemma_peak(lemma_id: str, axis: range) -> int:
+    """tracemalloc peak bytes of one lemma_check over axis x axis at s = 1, N = 10."""
+    tracemalloc.start()
+    try:
+        lemma_check(lemma_id, axis, axis, 1, 0, (10,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_lemma_l3_memory_is_near_l4():
+    # L3 decides sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2 in int64 when
+    # both sides fit, so it holds no Python int per point: a 300 x 300 grid
+    # peaks near L4 (13.6 MiB), not at the 22 MiB of object columns
+    axis = range(1, 301)
+    assert _lemma_peak("L3", axis) < 1.1 * _lemma_peak("L4", axis)
+
+
+@pytest.mark.parametrize(
+    "rk_max, s, n_max, h, taus, dtype",
+    [
+        (3037000499, 1, 1, 0, 1, np.int64),  # N rk**s = isqrt(2**63 - 1): sum**2 fits
+        (3037000500, 1, 1, 0, 1, object),
+        (2, 30, 1, 0, 4, np.int64),  # 2**30 by bit lengths
+        (2, 32, 1, 0, 4, object),
+        (922337203, 1, 1, 0, 10**5, np.int64),  # the bound N (N+h) rk**s taus**2 at 2**63 - 1
+        (922337204, 1, 1, 0, 10**5, object),
+        (3037, 1, 10**6, 0, 4, np.int64),
+        (3038, 1, 10**6, 0, 4, object),
+    ],
+)
+def test_l3_dtype_edges(rk_max, s, n_max, h, taus, dtype):
+    assert asymptotics._l3_dtype(rk_max, s, n_max, h, taus) is dtype
+
+
 def _exact_product_sum(r: int, k: int, s: int, h: int, n_limit: int) -> int:
     # oracle: per-n divisor sums from cr_sum_exact, no sieve and no matrix
     return sum(_c(r, n, s) * _c(k, n + h, s) for n in range(1, n_limit + 1))
@@ -697,6 +733,8 @@ def _lemma_column_grids(draw):
 @example(grid=("L2", [1, 2, 1], [1, 3], 1, 4, [9, 3, 9]))  # the unit pair skipped, twice
 @example(grid=("L3", [9, 1], [11, 1], 3, 0, [3, 1, 2]))  # equality at r = k = 1, where sqrt(3) * sqrt(3) < 3
 @example(grid=("L4", [40, 39], [39, 40], 12, 5, [20, 10]))
+@example(grid=("L3", [2, 1], [1, 2], 15, 0, [1]))  # (r k)**s = 2**30: decided in int64
+@example(grid=("L3", [2, 1], [1, 2], 16, 0, [1]))  # 2**32 past isqrt(2**63): in Python ints
 def test_lemma_columns_match_scalar_points_bitwise(grid):
     # every column value against the old per-point arithmetic, floats by hex
     lemma_id, r_values, k_values, s, h, n_values = grid

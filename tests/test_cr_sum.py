@@ -491,28 +491,40 @@ def _csv_blocks(draw):
     n_max = draw(st.integers(min_value=0, max_value=3000 // rows - 1))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     shape = (rows, n_max + 1)
-    pick = rng.integers(0, 3, size=shape)
-    grid = np.select(
-        [pick == 0, pick == 1],
-        [rng.choice(_EDGE_VALUES, size=shape), rng.integers(-999, 1000, size=shape)],
-        rng.integers(-(2**63) + 1, 2**63, size=shape),
-    )
+    spread = draw(st.sampled_from(("mixed", "one chunk", "999 and 1000")))
+    if spread == "one chunk":  # every tile takes its values from one lookup
+        grid = rng.integers(-999, 1000, size=shape)
+    elif spread == "999 and 1000":  # tiles of one chunk and of two, side by side
+        grid = rng.choice([0, 1, -1, 999, -999, 1000, -1000], size=shape)
+    else:
+        pick = rng.integers(0, 3, size=shape)
+        grid = np.select(
+            [pick == 0, pick == 1],
+            [rng.choice(_EDGE_VALUES, size=shape), rng.integers(-999, 1000, size=shape)],
+            rng.integers(-(2**63) + 1, 2**63, size=shape),
+        )
+    # cuts change the tile shape partway: r labels crossing 999 -> 1000, short last tiles
     cuts = sorted(draw(st.lists(st.integers(min_value=1, max_value=rows), max_size=3)))
     blocks = np.split(grid, cuts)
     for i, block in enumerate(blocks):
         if draw(st.booleans()):  # an object block, as past int64, with Python ints beyond it
             blocks[i] = block.astype(object) * draw(st.sampled_from((1, 10**20)))
     tile = draw(st.sampled_from((1, 5, 64, 2**16)))
-    return blocks, n_max, tile
+    # a budget of 1 cell builds the ",n," labels of a wide row per window
+    budget = draw(st.sampled_from((1, cr_sum._BLOCK_CELLS)))
+    return blocks, n_max, tile, budget
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(case=_csv_blocks())
-@example(case=([np.arange(-500, 501, dtype=np.int64).reshape(1001, 1)], 0, 2**16))  # r to 1001 in one tile
-@example(case=([np.full((1, 2000), -(2**63 - 1), dtype=np.int64)], 1999, 64))  # a row of 32 tiles
-@example(case=([np.zeros((3, 5), dtype=np.int64), np.ones((2, 5), dtype=object) * 10**30], 4, 7))
+@example(case=([np.arange(-500, 501, dtype=np.int64).reshape(1001, 1)], 0, 2**16, 2**20))  # r to 1001 in one tile
+@example(case=([np.full((1, 2000), -(2**63 - 1), dtype=np.int64)], 1999, 64, 2**20))  # a row of 32 tiles
+@example(case=([np.zeros((3, 5), dtype=np.int64), np.ones((2, 5), dtype=object) * 10**30], 4, 7, 2**20))
+@example(case=([np.arange(-999, 1001, dtype=np.int64).reshape(40, 50)], 49, 8, 2**20))  # windows over rows
+@example(case=([np.arange(-999, 1001, dtype=np.int64).reshape(40, 50)], 49, 8, 1))
+@example(case=([np.full((4, 3), 1000), np.full((5, 3), -999)], 2, 2, 2**20))  # two chunks, then one
 def test_write_csv_matches_fstring_oracle(case):
-    blocks, n_max, tile = case
+    blocks, n_max, tile, budget = case
     expected = "r,n,value\n" + "".join(
         f"{r},{n},{v}\n"
         for r, row in enumerate((row for block in blocks for row in block.tolist()), start=1)
@@ -520,8 +532,38 @@ def test_write_csv_matches_fstring_oracle(case):
     )
     written = io.BytesIO()
     with mock.patch.object(cr_sum, "_TILE_CELLS", tile):
-        cr_sum._write_csv(written, blocks, n_max)
+        with mock.patch.object(cr_sum, "_BLOCK_CELLS", budget):
+            cr_sum._write_csv(written, blocks, n_max)
     assert written.getvalue() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "r_max, n_max, tile, budget, builds",
+    [
+        (50, 30, 2**15, 2**20, 1),  # rows narrower than a tile
+        (5, 29, 8, 2**20, 1),  # four windows a row, labels within the budget
+        (5, 29, 8, 1, 4 * 5),  # past the budget: one build per window of each row
+    ],
+)
+def test_table_n_labels_are_built_once_per_table(monkeypatch, r_max, n_max, tile, budget, builds):
+    table = build_table(r_max, n_max, 1)
+    expected = table.to_csv_text().encode()
+    monkeypatch.setattr(cr_sum, "_TILE_CELLS", tile)
+    monkeypatch.setattr(cr_sum, "_BLOCK_CELLS", budget)
+    leads = []
+    label_words = cr_sum._label_words
+
+    def spy(*args):
+        leads.append(args[-2])
+        return label_words(*args)
+
+    monkeypatch.setattr(cr_sum, "_label_words", spy)
+    written = io.BytesIO()
+    cr_sum._write_csv(written, [table.values], n_max)
+    assert written.getvalue() == expected
+    assert leads.count(b",") == builds
+    # ",n," labels take the fewest words their text needs: ",19998," two
+    assert label_words(0, 19999, b",", b",").shape == (19999, 2)
 
 
 def test_cr_values_fixed_n_matches_exact():

@@ -195,6 +195,9 @@ def test_evaluate_and_tau_norm_match_scalar_loops_bitwise(coeffs, s, n, mode):
     assert tau_weighted_norm(family).hex() == norm.hex()
 
 
+_SIGMA_3000 = sigma_expansion(1, 1, 3000).coeffs
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     coeffs=_COEFFS,
@@ -202,8 +205,16 @@ def test_evaluate_and_tau_norm_match_scalar_loops_bitwise(coeffs, s, n, mode):
     h=st.one_of(st.integers(min_value=0, max_value=5000), st.sampled_from((720720, 2**40 * 3**9))),
 )
 @example(coeffs=[1.0] * 67, s=9, h=1)  # float64 division of c_67^9(1) by J_9(67) > 2**53 is off by an ulp
+@example(coeffs=list(_SIGMA_3000), s=1, h=0)
+@example(coeffs=list(_SIGMA_3000), s=1, h=1)
+@example(coeffs=list(_SIGMA_3000), s=1, h=9)
+@example(coeffs=list(_SIGMA_3000), s=1, h=10**7)
+@example(coeffs=[1.0 / r for r in range(1, 11)], s=20, h=1)  # J_20(r) >= 2**53 from r = 7
+@example(coeffs=[1.0 / r for r in range(1, 11)], s=20, h=6**20)
+@example(coeffs=list(sigma_expansion(5000, 1, 50).coeffs), s=1, h=10**7)  # 0.0 * -q = -0.0
 def test_shift_coefficients_match_scalar_loop_bitwise(coeffs, s, h):
-    # s = 9 and 12 with r up to 80 pass r**s = 2**53, past which a float64
+    # the per-r loop of Python int / int that the float64 array division
+    # replaced: s = 9, 12 and 20 pass r**s = 2**53, past which a float64
     # division of the two ints would no longer be Python's int / int; a
     # product of -0.0 is written as 0.0, every other product keeps its bits
     family = ExpansionCoefficients(s=s, argument_mode="plain_n", coeffs=tuple(coeffs), provenance="x")
