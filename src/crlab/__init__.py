@@ -23,7 +23,6 @@ from .core_arith import (
     jordan_totient,
     klee_phi,
     mobius,
-    mobius_range,
     sigma_ks,
     sigma_real,
     tau_s,

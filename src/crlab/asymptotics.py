@@ -533,8 +533,7 @@ def lemma_check(
         else:
             bound = np.sqrt(n) * np.sqrt(n + h) * np.sqrt(rk_float)[ri, ki] * tau_r * tau_k
 
-    # Column 0 (Phi_s(r**s) = J_s(r)) is read by L2 at h = 0, whose r**s k**s is a float.
-    rows = _sieve_rows(values, n_max + h, s, zero=lemma_id == "L2")
+    rows = _sieve_rows(values, n_max + h, s)
     a, b = rows[r_row], rows[k_row]
     # every partial sum is at most N r**s k**s; past int64 the products run on Python ints
     rk_power = power_at_most(r_max * k_max, s, (_INT64_LIMIT - 1) // n_max)
@@ -548,11 +547,12 @@ def lemma_check(
         prev = top
     sums = np.stack(blocks, axis=-1)[ri, ki, np.searchsorted(tops, n_axis)[ni]]
 
-    if lemma_id == "L2":  # c_r^s(h) is read from the rows at n = h
-        sums = abs(sums - np.where(r == k, a[ri, h].astype(object) * n, 0))
+    if lemma_id == "L2":  # c_r^s(h) from the exact column; c_r^s(0) = J_s(r) <= r**s, a float here
+        c_h = _cr_column(h, s, r_max).astype(object)
+        sums = abs(sums - np.where(r == k, c_h[r] * n, 0))
     elif lemma_id == "L3":
         sums = abs(sums)
-    elif lemma_id == "L4":  # the k rows leave out n = 0, so Phi_s(r**s) = J_s(r) is taken per r
+    elif lemma_id == "L4":  # the rows leave out n = 0, so Phi_s(r**s) = J_s(r) is taken per r
         phi = np.array([jordan_totient(v, s) for v in r_values], dtype=object)
         exact_bound = phi[ri] * 2 * n * tau_k
         bound = _float_column(exact_bound, lemma_id, "bound")

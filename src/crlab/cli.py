@@ -124,13 +124,13 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     from . import expansion
 
     family = expansion.sigma_expansion(args.k, args.s, args.R)
-    with _output(args.out) as handle:
-        expansion.write_coefficients_csv(handle, family)
     norm = expansion.tau_weighted_norm(family)
     summary = f"sigma family k={args.k} s={args.s} R={args.R}: tau-weighted norm {norm:.6g}"
     if args.n is not None:
         value = expansion.evaluate(family, args.n)
         summary += f", evaluate(n={args.n}) = {value:.6g}"
+    with _output(args.out) as handle:
+        expansion.write_coefficients_csv(handle, family)
     if args.out is not None:
         print(summary)
     return EXIT_OK
@@ -152,8 +152,8 @@ def _meanvalue_f_values(args: argparse.Namespace, rows: int):
     if args.N < 0:  # N = 0 is left to mean_value_coefficients
         raise ValueError(f"n_limit must be >= 1, got {args.N}")
     q = 1 if args.method == "one" else args.k  # c_1^s(n) = 1
-    # slot 0 stays 0: c_q^s(0) = J_s(q) may pass the float range; |c_q^s(n)| <= sigma(n) for n >= 1
-    return cr_sum._sieve_rows((q,), args.N, args.s, zero=False)[0].astype(float)
+    # the row leaves slot 0 at 0: c_q^s(0) = J_s(q) may pass the float range
+    return cr_sum._sieve_rows((q,), args.N, args.s)[0].astype(float)
 
 
 def _cmd_meanvalue(args: argparse.Namespace) -> int:

@@ -209,29 +209,6 @@ def mobius(n: int) -> int:
     return -1 if len(f.factors) % 2 else 1
 
 
-def mobius_range(limit: int) -> list[int]:
-    """Mobius values mu[0..limit] by linear sieve (mu[0] is unused, set to 0)."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    mu = [0] * (limit + 1)
-    mu[1] = 1
-    is_comp = [False] * (limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > limit:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
-
-
 def _check_r_n(r: int, n: int) -> None:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")

@@ -4,9 +4,12 @@ The production route is the exact integer divisor-sum representation
 c_r^s(n) = sum over d | r with d**s | n of mu(r/d) * d**s. The verification
 route evaluates the defining exponential sum over an s-reduced residue
 system mod r**s in floating point. Every sieved row (batch tables, lemma
-rows, period rows and mean-value rows) comes from one row builder: the terms
-(d, mu(r/d)) of each row are generated from factorize(r) and added by one
-numpy stride sieve. Tables are read-only int64 (or object) grids; the
+rows, period rows and mean-value rows) comes from one row sieve, _sieve_rows:
+the terms (d, mu(r/d)) of each row are generated from factorize(r) and added
+along the strides d**s. Sieved rows cover n >= 1 only and are always int64;
+column 0, c_r^s(0) = J_s(r), is the one value that needs r**s, and tables and
+period rows (_table_rows) fill it from jordan_totient. Tables are read-only
+int64 (or object) grids; the
 `table` command sieves row blocks of about _BLOCK_CELLS cells and writes each
 block straight to CSV, so it holds one block and no per-cell Python int,
 however large the table is. The CSV text of an int64 block is built by numpy
@@ -21,11 +24,11 @@ a time. Mean values sum the same row blocks.
 Orthogonality sums are exact integer Gram matrices of period rows.
 
 No power r**s is formed past the budget it is held to: core_arith.power_at_most
-decides r**s <= bound from bit lengths first. It picks int64 or object grids
-(_grid_dtype), holds the exponential and orthogonality periods to
-EXPONENTIAL_ROUTE_LIMIT (_check_period), and lets a sieve whose column 0 is
-never read skip every stride d**s past its width (zero=False), so a huge s
-costs no more than a small one there and its rows stay int64.
+decides r**s <= bound from bit lengths first. It picks int64 or object
+tables and columns (_grid_dtype), holds the exponential and orthogonality
+periods to EXPONENTIAL_ROUTE_LIMIT (_check_period), and lets the row sieve
+skip every stride d**s past n_max, so a huge s costs no more than a small
+one there.
 
 Every divisor sum over a range of n is one Dirichlet convolution
 sum_{d | n} f(d) g(n/d), computed by one numpy sieve, _dirichlet_sieve: the
@@ -56,6 +59,7 @@ from .core_arith import (  # ResourceLimitError and cr_sum_exact are re-exported
     divisors,
     factorize,
     is_power_free,
+    jordan_totient,
     power_at_most,
 )
 
@@ -95,27 +99,6 @@ def _grid_dtype(r_max: int, s: int) -> type:
     return np.int64 if fits is not None else object
 
 
-def _stride_sieve(
-    terms: Iterable[tuple[int, int, int]], rows: int, width: int, s: int, r_max: int, zero: bool
-) -> np.ndarray:
-    """Sieve a (rows, width) grid: for each (i, d, m), add m * d**s to row i along the stride d**s.
-
-    Row i holds c_r^s(n) for 0 <= n < width when terms carry every (d, mu(r/d))
-    with d | r; r_max bounds the r involved and picks the dtype. A term whose
-    d**s passes width - 1 reaches n = 0 alone. With zero False column 0 is
-    left 0 and such a term is skipped, so its power is never formed, and the
-    grid is int64 whatever r_max and s: every partial sum at n >= 1 is a sum
-    of distinct divisors d**s of n, at most sigma(n) < 2**63 for any n
-    within MAX_TABLE_CELLS.
-    """
-    grid = np.zeros((rows, width), dtype=_grid_dtype(r_max, s) if zero else np.int64)
-    for i, d, m in terms:
-        ds = d**s if zero else power_at_most(d, s, width - 1)
-        if ds is not None:
-            grid[i, 0 if zero else ds :: ds] += m * ds
-    return grid
-
-
 def _mobius_terms(r: int) -> list[tuple[int, int]]:
     """The 2**omega(r) pairs (d, mu(r/d)) with d | r and r/d squarefree.
 
@@ -135,38 +118,49 @@ def _check_cells(rows: int, n_max: int) -> None:
         raise ResourceLimitError(f"table of {cells} cells exceeds budget {MAX_TABLE_CELLS}")
 
 
-def _sieve_rows(r_values: Sequence[int], n_max: int, s: int, zero: bool = True) -> np.ndarray:
-    """c_r^s(n) for 0 <= n <= n_max, one row per entry of r_values, in that order.
+def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
+    """c_r^s(n) for 1 <= n <= n_max, one int64 row per entry of r_values, in that order.
 
-    Row i gets mu(r/d) * d**s along the stride of d**s for every term of
-    _mobius_terms(r_values[i]), so a row costs one factorize and 2**omega(r)
-    strides, however large r is. The grid is held to MAX_TABLE_CELLS before
-    anything is sieved. zero False leaves column 0 at 0 for callers that
-    never read it: c_r^s(0) = J_s(r) is the one value that needs r**s.
+    Row i gets mu(r/d) * d**s along the stride d**s, from n = d**s on, for
+    every term of _mobius_terms(r_values[i]) with d**s <= n_max, so a row
+    costs one factorize and at most 2**omega(r) strides, and no power past
+    n_max is formed. Column 0 is left 0: c_r^s(0) = J_s(r) is the one value
+    that needs r**s (see _table_rows). Every partial sum at n >= 1 is a sum
+    of distinct divisors d**s of n, at most sigma(n) < 2**63 within
+    MAX_TABLE_CELLS, so the grid is int64 whatever r and s are. It is held
+    to MAX_TABLE_CELLS before anything is sieved.
     """
     _check_cells(len(r_values), n_max)
-    terms = ((i, d, m) for i, r in enumerate(r_values) for d, m in _mobius_terms(r))
-    return _stride_sieve(terms, len(r_values), n_max + 1, s, max(r_values, default=1), zero)
+    grid = np.zeros((len(r_values), n_max + 1), dtype=np.int64)
+    for i, r in enumerate(r_values):
+        for d, m in _mobius_terms(r):
+            ds = power_at_most(d, s, n_max)
+            if ds is not None:
+                grid[i, ds::ds] += m * ds
+    return grid
 
 
-def _sieved_blocks(
-    r_values: Sequence[int], n_max: int, s: int, zero: bool = True
-) -> Iterator[np.ndarray]:
-    """_sieve_rows(r_values, n_max, s, zero) in consecutive blocks of about _BLOCK_CELLS cells."""
-    step = max(1, _BLOCK_CELLS // (n_max + 1))
-    for lo in range(0, len(r_values), step):
-        yield _sieve_rows(r_values[lo : lo + step], n_max, s, zero)
+def _table_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
+    """c_r^s(n) for 0 <= n <= n_max: _sieve_rows with column 0 set to J_s(r).
 
-
-def _sieved_rows(r_values: Sequence[int], n_max: int, s: int) -> Iterator[np.ndarray]:
-    """The rows of _sieved_blocks(r_values, n_max, s, zero=False), for sums over n >= 1.
-
-    Each row is a copy, so a caller still holding the last row of a block
-    does not keep that block alive while the next one is sieved: one block
-    is held at a time.
+    The grid is int64 while _grid_dtype(max(r_values), s) allows it, else
+    Python ints in an object array.
     """
-    for block in _sieved_blocks(r_values, n_max, s, zero=False):
-        yield from map(np.copy, block)
+    rows = _sieve_rows(r_values, n_max, s)
+    if _grid_dtype(max(r_values, default=1), s) is object:
+        rows = rows.astype(object)
+    rows[:, 0] = np.fromiter((jordan_totient(r, s) for r in r_values), rows.dtype, len(r_values))
+    return rows
+
+
+def _row_slices(r_values: Sequence[int], n_max: int) -> Iterator[Sequence[int]]:
+    """r_values in consecutive slices whose rows of n_max + 1 cells fill about _BLOCK_CELLS cells.
+
+    A slice always holds at least one r. Tables and mean values sieve one
+    slice at a time.
+    """
+    step = max(1, _BLOCK_CELLS // (n_max + 1))
+    return (r_values[lo : lo + step] for lo in range(0, len(r_values), step))
 
 
 def _check_table(r_max: int, n_max: int, s: int) -> None:
@@ -374,7 +368,8 @@ def _stream_table_csv(handle: BinaryIO, r_max: int, n_max: int, s: int) -> None:
 
     Callers run _check_table and _check_digits first, before opening handle.
     """
-    _write_csv(handle, _sieved_blocks(range(1, r_max + 1), n_max, s), n_max)
+    blocks = (_table_rows(rs, n_max, s) for rs in _row_slices(range(1, r_max + 1), n_max))
+    _write_csv(handle, blocks, n_max)
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
@@ -595,7 +590,7 @@ def _period_gram(r: int, divs: Sequence[int], s: int) -> list[list[Fraction]]:
     m = 0. Every inner sum is checked for exact divisibility by r**s.
     """
     period = _check_period(r, s)
-    rows = _sieve_rows(divs, period - 1, s)
+    rows = _table_rows(divs, period - 1, s)
     # Over a full period sum_m c_d^s(m)**2 = r**s J_s(d) <= r**(2s), so by
     # Cauchy-Schwarz every partial sum of c_d^s(m) c_t^s(m) is at most r**(2s).
     gram = _exact_matmul(rows, rows.T, period**2).tolist()
@@ -734,7 +729,7 @@ class CRSumTable:
 def build_table(r_max: int, n_max: int, s: int) -> CRSumTable:
     """Sieve the full c_r^s table for 1 <= r <= r_max, 0 <= n <= n_max in one numpy pass."""
     _check_table(r_max, n_max, s)
-    grid = _sieve_rows(range(1, r_max + 1), n_max, s)
+    grid = _table_rows(range(1, r_max + 1), n_max, s)
     return CRSumTable(s=s, r_max=r_max, n_max=n_max, values=grid)
 
 

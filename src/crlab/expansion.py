@@ -20,7 +20,7 @@ import numpy as np
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, power_at_most, zeta
 from .cr_sum import (
     _ascii_text, _check_cells, _cr_column, _cr_values_at_root, _dirichlet_sieve, _rounded,
-    _running_sums, _sieved_rows, _weighted_sum, _write_rows,
+    _row_slices, _sieve_rows, _weighted_sum, _write_rows,
 )
 
 PLAIN_N = "plain_n"
@@ -122,12 +122,13 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     """(1/N) * sum_{n <= N} f(n) * c_r^s(n) / Phi_s(r**s) for each r of r_values.
 
     f_values[n] = f(n) as float64 for n <= N = len(f_values) - 1, slot 0 unused.
-    Each sum runs in ascending n, so it equals a Python loop over n bit for bit,
-    on rows sieved straight to N in row blocks of about _BLOCK_CELLS cells (one
-    block is held at a time), with all R * (N + 1) cells held to
-    MAX_TABLE_CELLS before any sieving. The rows leave out n = 0, and a
-    divisor Phi_s(r**s) = J_s(r) >= r**(s - 1) that would round the quotient
-    to 0 is never formed.
+    The rows are sieved straight to N in blocks of about _BLOCK_CELLS cells
+    (_row_slices; one block is held at a time), with all R * (N + 1) cells
+    held to MAX_TABLE_CELLS before any sieving. Each block is summed by one
+    np.cumsum along its rows, which adds every row in ascending n, so each
+    sum equals a Python loop over n bit for bit. The rows leave out n = 0,
+    and a divisor Phi_s(r**s) = J_s(r) >= r**(s - 1) that would round the
+    quotient to 0 is never formed.
     When r**s | N whole periods of c_r^s are averaged (see is_period_exact); no
     N -> infinity extrapolation is attempted.
     """
@@ -138,8 +139,12 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     if r_values and n_limit < 1:
         raise ValueError(f"n_limit must be >= 1, got {n_limit}")
     _check_cells(len(r_values), n_limit)
-    rows = _sieved_rows(r_values, n_limit, s)
-    sums = (_running_sums(f_values, row, 0, (n_limit,))[0] for row in rows)
+    sums = []
+    for r_slice in _row_slices(r_values, n_limit):
+        terms = _sieve_rows(r_slice, n_limit, s)[:, 1:] * f_values[1:]
+        np.cumsum(terms, axis=1, out=terms)
+        sums += (terms[:, -1] + 0.0).tolist()  # + 0.0 turns a -0.0 sum into 0.0
+        del terms  # else it stays bound while the next block is sieved
     means = zip(r_values, (total / n_limit for total in sums))
     # A finite mean is below 2**max_exp and the least subnormal is 2**(min_exp - mant_dig),
     # so once J_s(r) >= r**(s - 1) reaches 2**(max_exp - min_exp + mant_dig + 1) the

@@ -735,6 +735,8 @@ def _lemma_column_grids(draw):
 @example(grid=("L4", [40, 39], [39, 40], 12, 5, [20, 10]))
 @example(grid=("L3", [2, 1], [1, 2], 15, 0, [1]))  # (r k)**s = 2**30: decided in int64
 @example(grid=("L3", [2, 1], [1, 2], 16, 0, [1]))  # 2**32 past isqrt(2**63): in Python ints
+@example(grid=("L2", [3, 2, 1], [2, 3], 40, 0, [5, 2]))  # N c_r^s(0) = N J_40(r) past int64
+@example(grid=("L2", [2, 3], [3, 2], 40, 3, [4]))  # c_r^40(3) = mu(r)
 def test_lemma_columns_match_scalar_points_bitwise(grid):
     # every column value against the old per-point arithmetic, floats by hex
     lemma_id, r_values, k_values, s, h, n_values = grid

@@ -150,7 +150,8 @@ def test_table_over_budget_writes_no_output(tmp_path, capsysbinary, monkeypatch)
     def no_sieve(*args):
         raise AssertionError("a row was sieved for an over-budget table")
 
-    monkeypatch.setattr(cr_sum, "_stride_sieve", no_sieve)
+    # every sieved row starts from the Mobius terms of its r
+    monkeypatch.setattr(cr_sum, "_mobius_terms", no_sieve)
     path = tmp_path / "t.csv"
     for argv in (
         ["--r", "2", "--n", "0", "--s", "20000"],  # 2**20000 has 6021 digits
@@ -235,7 +236,7 @@ def test_orthogonality_over_budget_exits_before_summing(capsys, monkeypatch):
     def no_rows(*args):
         raise AssertionError("period rows sieved for an over-budget r**s")
 
-    monkeypatch.setattr(cr_sum, "_stride_sieve", no_rows)
+    monkeypatch.setattr(cr_sum, "_mobius_terms", no_rows)
     code, out, err = run_cli(capsys, "orthogonality", "--r", "6", "--s", "12")
     assert code == EXIT_RESOURCE
     assert "resource" in err
@@ -440,7 +441,7 @@ def test_meanvalue_over_cell_budget_exits_before_sieving(capsys, monkeypatch, me
     def no_sieve(*args):
         raise AssertionError("a row was sieved for an over-budget grid")
 
-    monkeypatch.setattr(cr_sum, "_stride_sieve", no_sieve)
+    monkeypatch.setattr(cr_sum, "_mobius_terms", no_sieve)
     _forbid_sigma_rows(monkeypatch)
     n_limit = 999
     r_top = cr_sum.MAX_TABLE_CELLS // (n_limit + 1) + 1  # R * (N + 1) just past the budget

@@ -4,11 +4,14 @@ Each argv runs in-process through cli.main with the resource budgets made
 small, so a run that would be slow at the real budgets is refused fast. The
 contract: the exit code is one of 0 ok, 1 failed assertion, 2 usage, 3 I/O
 and 4 budget; nothing escapes as an exception (in-process, the traceback a
-separate process would print); and exit 1 comes with its assertion message.
+separate process would print); exit 1 comes with its assertion message; and
+a run refused with exit 2 or 4 leaves no --out file.
 """
 
 import io
+import os
 import re
+import tempfile
 import warnings
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from unittest import mock
@@ -29,6 +32,9 @@ VALUE = st.sampled_from(EXTREMES)
 # Drawn from the integers half the time, so more argv get past the parser.
 INT = st.sampled_from(EXTREMES[:7]) | VALUE
 OPTIONAL = st.none() | INT
+# Stands for a fresh path in a temporary directory, made inside the test.
+OUT_PATH = "<out>"
+OUT = st.sampled_from((None, OUT_PATH))
 
 # argv prefix -> {flag: strategy of its text}; None leaves an optional flag out
 SUBCOMMANDS = {
@@ -36,25 +42,27 @@ SUBCOMMANDS = {
         "--r": INT, "--n": INT, "--s": INT,
         "--method": st.sampled_from(("exact", "exponential", "both")),
     },
-    "table": {"--r": INT, "--n": INT, "--s": INT},
-    "orthogonality": {"--r": INT, "--s": INT},
-    "expand": {"--k": INT, "--s": INT, "--R": INT, "--n": OPTIONAL},
-    "meanvalue --method one": {"--r": OPTIONAL, "--s": INT, "--N": INT, "--R": OPTIONAL},
+    "table": {"--r": INT, "--n": INT, "--s": INT, "--out": OUT},
+    "orthogonality": {"--r": INT, "--s": INT, "--out": OUT},
+    "expand": {"--k": INT, "--s": INT, "--R": INT, "--n": OPTIONAL, "--out": OUT},
+    "meanvalue --method one": {
+        "--r": OPTIONAL, "--s": INT, "--N": INT, "--R": OPTIONAL, "--out": OUT,
+    },
     "meanvalue": {
         "--method": st.sampled_from(("crsum", "sigma")),
-        "--k": INT, "--r": OPTIONAL, "--s": INT, "--N": INT, "--R": OPTIONAL,
+        "--k": INT, "--r": OPTIONAL, "--s": INT, "--N": INT, "--R": OPTIONAL, "--out": OUT,
     },
-    "shift": {"--k": INT, "--s": OPTIONAL, "--R": INT, "--h": INT},
+    "shift": {"--k": INT, "--s": OPTIONAL, "--R": INT, "--h": INT, "--out": OUT},
     "correlate --method corollary": {
-        "--a": VALUE, "--b": VALUE, "--s": INT, "--h": OPTIONAL, "--N": INT,
+        "--a": VALUE, "--b": VALUE, "--s": INT, "--h": OPTIONAL, "--N": INT, "--out": OUT,
     },
     "correlate": {
         "--method": st.sampled_from(("t1", "t2")),
-        "--s": INT, "--h": OPTIONAL, "--N": INT, "--k": INT, "--R": INT,
+        "--s": INT, "--h": OPTIONAL, "--N": INT, "--k": INT, "--R": INT, "--out": OUT,
     },
     "lemmas": {
         "--which": st.sampled_from("1234"),
-        "--rmax": INT, "--kmax": INT, "--s": INT, "--h": OPTIONAL, "--N": INT,
+        "--rmax": INT, "--kmax": INT, "--s": INT, "--h": OPTIONAL, "--N": INT, "--out": OUT,
     },
     "decompose": {"--h": INT, "--s": INT},
 }
@@ -105,6 +113,12 @@ REPROS = [
     ("correlate --method corollary --s 2 --N 10 --h 5 --a 1e308 --b 2", EXIT_RESOURCE),
 ]
 
+# Argv that once wrote their --out file and then exited 2.
+REFUSED_AFTER_WRITING = [
+    f"expand --k 1 --s 1 --R 3 --n 0 --out {OUT_PATH}",
+    f"expand --k 1 --s 1 --R 3 --n 9223372036854775808 --out {OUT_PATH}",
+]
+
 
 def run(argv):
     """(exit code, stdout, stderr) of cli.main(argv), with numpy and Python warnings as errors."""
@@ -119,7 +133,7 @@ def run(argv):
 
 
 def _with_repros(test):
-    for line, _ in REPROS:
+    for line in [line for line, _ in REPROS] + REFUSED_AFTER_WRITING:
         test = example(argv=line.split())(test)
     return test
 
@@ -128,14 +142,27 @@ def _with_repros(test):
 @given(argv=ARGV)
 @_with_repros
 def test_every_argv_keeps_the_exit_code_contract(argv):
-    with ExitStack() as stack:
+    # a function-scoped tmp_path fixture cannot be combined with @given
+    with ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
         for module, name, value in SMALL_BUDGETS:
             stack.enter_context(mock.patch.object(module, name, value))
-        code, _, err = run(argv)
+        path = os.path.join(tmp, "out")
+        code, _, err = run([path if part == OUT_PATH else part for part in argv])
+        written = os.path.exists(path)
     assert code in range(5), (argv, code, err)
     assert "Traceback" not in err
     if code == EXIT_ASSERTION:
         assert FAILED_ASSERTION.search(err), (argv, err)
+    if code in (EXIT_USAGE, EXIT_RESOURCE):
+        assert not written, (argv, code, err)
+
+
+@pytest.mark.parametrize("line", REFUSED_AFTER_WRITING)
+def test_refused_expand_leaves_no_file(tmp_path, line):
+    path = tmp_path / "coeffs.csv"
+    code, out, err = run(line.replace(OUT_PATH, str(path)).split())
+    assert code == EXIT_USAGE and out == "", (line, err)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("line, expected", REPROS)

@@ -25,7 +25,6 @@ from crlab.core_arith import (
     jordan_totient,
     klee_phi,
     mobius,
-    mobius_range,
     sigma_ks,
     sigma_real,
     tau_s,
@@ -154,12 +153,6 @@ def test_mobius_against_definition():
         omega = sum(1 for p in range(2, n + 1) if brute_is_prime(p) and n % p == 0)
         expected = 0 if square_factor else (-1) ** omega
         assert mobius(n) == expected
-
-
-def test_mobius_range_matches_pointwise():
-    mu = mobius_range(500)
-    for n in range(1, 501):
-        assert mu[n] == mobius(n)
 
 
 # --- generalized gcd ---------------------------------------------------------
@@ -373,14 +366,6 @@ def test_factorize_matches_sympy_factorint(n):
 @given(_ORACLE_N)
 def test_mobius_matches_sympy(n):
     assert mobius(n) == int(sympy.mobius(n))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=1, max_value=1500))
-def test_mobius_range_matches_sympy(limit):
-    mu = mobius_range(limit)
-    assert len(mu) == limit + 1
-    assert mu[1:] == [int(sympy.mobius(n)) for n in range(1, limit + 1)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@
 import cmath
 import io
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from crlab import cr_sum
 from crlab.cli import main as cli_main
-from crlab.core_arith import divisors, gcd_s, jordan_totient, klee_phi, mobius, mobius_range, sigma_ks
+from crlab.core_arith import divisors, gcd_s, jordan_totient, klee_phi, mobius, sigma_ks
 from crlab.cr_sum import (
     EXPONENTIAL_ROUTE_LIMIT,
     CRSumTable,
@@ -226,14 +227,14 @@ def test_orthogonality_multiplies_in_int64_below_the_cauchy_schwarz_bound(monkey
 
 def test_orthogonality_rejects_indivisible_sums(monkeypatch):
     # one corrupted cell, c_1(1) = 2, makes the (1, 1) sum r**s + 3
-    stride_sieve = cr_sum._stride_sieve
+    sieve_rows = cr_sum._sieve_rows
 
     def corrupted(*args):
-        grid = stride_sieve(*args)
+        grid = sieve_rows(*args)
         grid[0, 1] += 1
         return grid
 
-    monkeypatch.setattr(cr_sum, "_stride_sieve", corrupted)
+    monkeypatch.setattr(cr_sum, "_sieve_rows", corrupted)
     with pytest.raises(ArithmeticError):
         orthogonality_grid(6, 1)
     with pytest.raises(ArithmeticError):
@@ -244,7 +245,8 @@ def test_orthogonality_grid_budgets(monkeypatch):
     def no_sieve(*args):
         raise AssertionError("period rows sieved for an over-budget grid")
 
-    monkeypatch.setattr(cr_sum, "_stride_sieve", no_sieve)
+    # every sieved row starts from the Mobius terms of its r
+    monkeypatch.setattr(cr_sum, "_mobius_terms", no_sieve)
     with pytest.raises(ResourceLimitError):
         orthogonality_grid(2, 24)  # r**s = 2**24 > EXPONENTIAL_ROUTE_LIMIT
     monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 6 * 144 - 1)
@@ -342,32 +344,44 @@ def test_build_table_object_dtype_fallback():
 
 
 def test_sieve_row_over_one_period_matches_exact():
+    # table and period rows, column 0 = J_s(r) included; sieved rows leave column 0 at 0
     for s in (1, 2, 3):
         for r in (1, 2, 6, 12, 30):
-            row = cr_sum._sieve_rows((r,), r**s - 1, s)[0].tolist()
+            row = cr_sum._table_rows((r,), r**s - 1, s)[0].tolist()
             assert len(row) == r**s
             assert all(type(v) is int for v in row)
             assert row == [cr_sum_exact(r, n, s) for n in range(r**s)]
-            assert cr_sum._sieve_rows((r,), r**s - 1, s, zero=False)[0].tolist() == [0] + row[1:]
+            assert build_table(r, r**s - 1, s).row(r) == tuple(row)
+            sieved = cr_sum._sieve_rows((r,), r**s - 1, s)
+            assert sieved.dtype == np.int64
+            assert sieved[0].tolist() == [0] + row[1:]
 
 
 def test_sieve_rows_without_column_zero_never_form_a_huge_power():
     # at s = 10**7 only d = 1 has d**s <= 50, so c_r^s(n) = mu(r) for 1 <= n <= 50;
-    # c_r^s(0) = J_s(r) would have millions of digits and is left out
-    rows = cr_sum._sieve_rows((30, 7, 4, 1), 50, 10**7, zero=False)
+    # c_r^s(0) = J_s(r) would have millions of digits and is left out. Forming
+    # 30**(10**7) alone takes seconds; the sieve returns at once.
+    start = time.perf_counter()
+    rows = cr_sum._sieve_rows((30, 7, 4, 1), 50, 10**7)
+    assert time.perf_counter() - start < 1.0
+    assert rows.dtype == np.int64
     assert rows.tolist() == [[0] + [mu] * 50 for mu in (-1, -1, 0, 1)]
 
 
 def test_sieve_rows_without_column_zero_are_int64():
     # n >= 1 values are sums of distinct divisors d**s of n, at most sigma(n),
-    # so these rows stay int64 where a table over the same r and s is object
-    assert cr_sum._sieve_rows((2,), 100, 62, zero=False).dtype == np.int64
+    # so sieved rows stay int64 where a table over the same r and s is object
+    assert cr_sum._sieve_rows((2,), 100, 62).dtype == np.int64
     r_values, n_max, s = (210, 2**16, 10**5, 1), 2500, 4
     assert _grid_dtype(max(r_values), s) is object
-    rows = cr_sum._sieve_rows(r_values, n_max, s, zero=False)
+    rows = cr_sum._sieve_rows(r_values, n_max, s)
     assert rows.dtype == np.int64
     for r, row in zip(r_values, rows.tolist()):
         assert row == [0] + [cr_sum_exact(r, n, s) for n in range(1, n_max + 1)], r
+    table_rows = cr_sum._table_rows(r_values, n_max, s)
+    assert table_rows.dtype == object
+    assert table_rows[:, 0].tolist() == [jordan_totient(r, s) for r in r_values]
+    assert table_rows[:, 1:].tolist() == rows[:, 1:].tolist()
 
 
 def test_sieve_rows_cost_follows_the_rows_asked_for(monkeypatch):
@@ -384,10 +398,11 @@ def test_sieve_rows_cost_follows_the_rows_asked_for(monkeypatch):
         assert set(cr_sum._mobius_terms(r)) == {(d, m) for d, m in expected if m}
     n_max = 1200
     for s in (1, 2):
-        rows = cr_sum._sieve_rows(r_values, n_max, s)
+        rows = cr_sum._table_rows(r_values, n_max, s)
         assert rows.shape == (len(r_values), n_max + 1)
         for r, row in zip(r_values, rows.tolist()):
             assert row == [cr_sum_exact(r, n, s) for n in range(n_max + 1)], (r, s)
+        assert cr_sum._sieve_rows(r_values, n_max, s)[:, 1:].tolist() == rows[:, 1:].tolist()
 
 
 def test_write_csv_matches_text_export():
@@ -419,13 +434,13 @@ def test_streamed_table_crosses_block_boundaries(tmp_path, monkeypatch, r_max, n
     build_table(r_max, n_max, s).write_csv(written)
     monkeypatch.setattr(cr_sum, "_BLOCK_CELLS", block)
     blocks = []
-    sieve_rows = cr_sum._sieve_rows
+    table_rows = cr_sum._table_rows
 
-    def spy(r_values, n, s, *zero):
-        blocks.append(sieve_rows(r_values, n, s, *zero))
+    def spy(r_values, n, s):
+        blocks.append(table_rows(r_values, n, s))
         return blocks[-1]
 
-    monkeypatch.setattr(cr_sum, "_sieve_rows", spy)
+    monkeypatch.setattr(cr_sum, "_table_rows", spy)
     streamed = io.BytesIO()
     cr_sum._stream_table_csv(streamed, r_max, n_max, s)
     assert streamed.getvalue() == written.getvalue() == expected.encode()
@@ -616,10 +631,10 @@ def test_cr_values_object_column_holds_values_past_int64():
 @example(1)
 @example(4)
 @example(3481)  # 59**2: the last prime of the isqrt split, squared
-def test_mobius_row_matches_linear_sieve(limit):
+def test_mobius_row_matches_pointwise_mobius(limit):
     mu = cr_sum._mobius_row(limit)
     assert mu.dtype == np.int64
-    assert mu.tolist() == mobius_range(limit)
+    assert mu.tolist() == [0] + [mobius(n) for n in range(1, limit + 1)]
 
 
 def test_mobius_row_matches_sympy():

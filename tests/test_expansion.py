@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -292,7 +293,7 @@ def test_mean_value_row_held_to_table_budget(monkeypatch):
     def no_sieve(*args):
         raise AssertionError("mean-value row sieved past the cell budget")
 
-    monkeypatch.setattr(cr_sum, "_stride_sieve", no_sieve)
+    monkeypatch.setattr(cr_sum, "_mobius_terms", no_sieve)
     with pytest.raises(ResourceLimitError):
         mean_value(lambda n: 1.0, 7, 2, 48)
     with pytest.raises(ResourceLimitError):
@@ -354,6 +355,31 @@ def test_mean_value_rows_in_blocks_match_loop_oracle(monkeypatch):
     r_values = (2, 20, 30, 1, 7)
     got = mean_value_coefficients(np.array(f_values), r_values, 13)
     expected = [_oracle_mean_value(f_values, r, 13) for r in r_values]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def _per_row_running_sums(f_values, r_values, s: int) -> list[float]:
+    """The mean values one row at a time: a _running_sums call per row of exact c_r^s(n)."""
+    n_limit = len(f_values) - 1
+    means = []
+    for r in r_values:
+        row = np.array([0] + [cr_sum_exact(r, n, s) for n in range(1, n_limit + 1)], dtype=np.int64)
+        total = cr_sum._running_sums(np.array(f_values), row, 0, (n_limit,))[0]
+        means.append(total / n_limit / jordan_totient(r, s) + 0.0)
+    return means
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_mean_value_cases(), rows_per_block=st.integers(0, 3))
+@example(case=([0.0] + [(-1.0) ** n * n / 7 for n in range(1, 301)], [2, 20, 30, 1, 7], 13), rows_per_block=2)
+@example(case=([0.0, -0.0, -0.0], [1, 2, 3], 1), rows_per_block=0)
+def test_mean_value_blocks_match_per_row_running_sums(case, rows_per_block):
+    # several blocks and a last one-row block; 0 rows a block means a budget below one row
+    f_values, r_values, s = case
+    budget = max(1, rows_per_block * len(f_values))
+    with mock.patch.object(cr_sum, "_BLOCK_CELLS", budget):
+        got = mean_value_coefficients(np.array(f_values), r_values, s)
+    expected = _per_row_running_sums(f_values, r_values, s)
     assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 

@@ -27,7 +27,7 @@ EXPORTS = {
     "core_arith": (
         "FACTORIZE_LIMIT", "Factorization", "divisors", "factorize", "gcd_s",
         "harmonic_sum", "is_power_free", "is_s_prime", "jordan_totient", "klee_phi",
-        "mobius", "mobius_range", "sigma_ks", "sigma_real", "tau_s", "zeta",
+        "mobius", "sigma_ks", "sigma_real", "tau_s", "zeta",
     ),
     "cr_sum": (
         "CRSumTable", "ResourceLimitError", "build_table", "cr_sum_exact",
