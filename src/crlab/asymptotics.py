@@ -10,6 +10,7 @@ with real exponents, and report serialization.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -32,15 +33,15 @@ from .cr_sum import (
     MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
     _INT64_LIMIT,
     _TEXT_BLOCK,
+    _ascending_sums,
     _ascii_text,
     _check_cells,
     _cr_column,
     _dirichlet_sieve,
     _exact_matmul,
     _power_row,
-    _running_sums,
+    _python_op,
     _sieve_rows,
-    _weighted_sum,
     _write_rows,
 )
 from .expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
@@ -107,9 +108,9 @@ def theorem2_main(
         raise ValueError(f"h must be >= 0, got {h}")
     if r_limit == 0:
         return 0.0
-    c_at_h = _cr_column(h, coeffs_f.s, r_limit)
+    c_at_h = _cr_column(h, coeffs_f.s, r_limit)[1:]
     weights = np.array(coeffs_f.coeffs[:r_limit]) * np.array(coeffs_g.coeffs[:r_limit])
-    return _weighted_sum(weights, c_at_h)
+    return float(_ascending_sums(_python_op(operator.mul, weights, c_at_h), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def corollary_lhs(a: float, b: float, s: int, h: int, n_limit: int) -> float:
         raise ValueError(f"N must be >= 1, got {n_limit}")
     f = _sigma_ratio_values(a * s, n_limit)
     g = _sigma_ratio_values(b * s, n_limit + h)
-    return _running_sums(f, g, h, (n_limit,))[0]
+    return float(_ascending_sums(f[1:] * g[1 + h :], -1))
 
 
 def _sigma_ratio_values(x: float, limit: int) -> np.ndarray:
@@ -307,7 +308,8 @@ def run_correlation_report(config: CorrelationConfig) -> CorrelationReport:
     if multiplier == 0.0:
         raise ValueError("degenerate configuration: the predicted main term is zero")
 
-    lhs_values = _running_sums(f_values, g_values, config.h, config.schedule)
+    terms = f_values[1 : n_top + 1] * g_values[1 + config.h : n_top + config.h + 1]
+    lhs_values = _ascending_sums(terms, [n - 1 for n in config.schedule]).tolist()
     records = []
     for n, lhs in zip(config.schedule, lhs_values):
         main_term = n * multiplier

@@ -149,8 +149,6 @@ def _meanvalue_f_values(args: argparse.Namespace, rows: int):
     check_exponent(args.s)
     if args.method == "sigma":
         return asymptotics._sigma_ratio_values(args.k * args.s, args.N)
-    if args.N < 0:  # N = 0 is left to mean_value_coefficients
-        raise ValueError(f"n_limit must be >= 1, got {args.N}")
     q = 1 if args.method == "one" else args.k  # c_1^s(n) = 1
     # the row leaves slot 0 at 0: c_q^s(0) = J_s(q) may pass the float range
     return cr_sum._sieve_rows((q,), args.N, args.s)[0].astype(float)
@@ -163,9 +161,12 @@ def _cmd_meanvalue(args: argparse.Namespace) -> int:
         raise ValueError("meanvalue --out writes the r = 1..R coefficient CSV and needs --R")
     if args.r is not None and args.R is not None:
         raise ValueError("meanvalue takes --r (one coefficient) or --R (r = 1..R), not both")
+    for flag, value in (("--R", args.R), ("--N", args.N), ("--r", args.r)):
+        if value is not None and value < 1:
+            raise ValueError(f"meanvalue {flag} must be >= 1, got {value}")
     r_values = range(1, args.R + 1) if args.R is not None else (1 if args.r is None else args.r,)
     # len() of a range past sys.maxsize overflows; R rows are counted before any is built
-    f_values = _meanvalue_f_values(args, len(r_values) if args.R is None else max(args.R, 0))
+    f_values = _meanvalue_f_values(args, len(r_values) if args.R is None else args.R)
     coeffs = expansion.mean_value_coefficients(f_values, r_values, args.s)
     if args.R is not None:
         family = expansion.ExpansionCoefficients(

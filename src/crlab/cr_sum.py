@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -456,19 +455,6 @@ def _mobius_row(limit: int) -> np.ndarray:
     return mu
 
 
-def _running_sums(f: np.ndarray, g: np.ndarray, h: int, schedule: Sequence[int]) -> list[float]:
-    """sum_{n<=N} f[n] * g[n + h] for each N of an ascending schedule.
-
-    np.cumsum (add.accumulate) adds strictly in ascending n, so each sum equals
-    the loop `total += f[n] * g[n + h]` from 0.0 bit for bit, once + 0.0 turns
-    a leading -0.0 into 0.0; np.sum and np.dot sum pairwise and would not.
-    """
-    top = schedule[-1]
-    sums = np.multiply(f[1 : top + 1], g[1 + h : top + h + 1])
-    np.cumsum(sums, out=sums)
-    return [float(sums[n - 1]) + 0.0 for n in schedule]
-
-
 def _rounded(op: Callable[[float, int], float], x: float, n: int) -> float:
     """op(x, n) for op * or / as Python rounds it, even where n is past the float range.
 
@@ -482,23 +468,36 @@ def _rounded(op: Callable[[float, int], float], x: float, n: int) -> float:
         return float(op(Fraction(x), n))
 
 
-def _weighted_sum(weights: np.ndarray, column: np.ndarray) -> float:
-    """The loop `total += weights[i] * column[i + 1]` from 0.0, bit for bit.
+def _python_op(op: Callable[[float, int], float], x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Python's op(x[i], n[i]) for op operator.mul or operator.truediv, as a float64 array.
 
-    weights is a nonempty float64 row and column an int64, float64 or object
-    row with slot 0 unused. Each term is Python's float * int: numpy converts
-    int64 to float64 with the same round-to-nearest, and an object column goes
-    through _rounded, so a c value past the float range gives its honest term.
-    np.cumsum adds in ascending order, and + 0.0 turns a leading -0.0 into
-    0.0, as in _running_sums.
+    x is float64 (or, for /, exact ints) and n exact ints; ints are int64 or
+    object (Python ints), and x and n broadcast. An int below 2**53 in size
+    is an exact float64 and IEEE * and / round correctly, so wherever a
+    pair's ints are all that small numpy's float64 op gives Python's float *
+    int, float / int and int / int. _rounded gives every other pair, so an
+    int past the float range is taken exactly and the result rounded once.
     """
-    column = column[1 : len(weights) + 1]
-    if column.dtype == object:
-        pairs = zip(weights.tolist(), column.tolist())
-        terms = np.array([_rounded(operator.mul, w, c) for w, c in pairs])
-    else:
-        terms = weights * column
-    return float(np.cumsum(terms)[-1]) + 0.0
+    x, n = np.broadcast_arrays(x, n)
+    ints = [a for a in (x, n) if a.dtype != np.float64]
+    exact = np.logical_and.reduce([(-(2**53) < a) & (a < 2**53) for a in ints])
+    wide = np.nonzero(~exact)
+    rounded = [_rounded(op, a, b) for a, b in zip(x[wide].tolist(), n[wide].tolist())]
+    # object ints are cast with 1 in place of each wide int, whose result is overwritten
+    out = op(*(a if a.dtype != object else np.where(exact, a, 1).astype(np.float64) for a in (x, n)))
+    out[wide] = rounded
+    return out
+
+
+def _ascending_sums(terms: np.ndarray, at: int | Sequence[int]) -> np.ndarray:
+    """The running sums of terms along the last axis, read at the indices at.
+
+    Each equals the loop `total += term` from 0.0 in ascending order bit for
+    bit: np.cumsum (add.accumulate) adds strictly in order, where np.sum and
+    np.dot sum pairwise, and + 0.0 turns a leading -0.0 sum into the loop's
+    0.0. terms is a float64 array that the sums overwrite.
+    """
+    return np.cumsum(terms, axis=-1, out=terms)[..., at] + 0.0
 
 
 @lru_cache(maxsize=128)

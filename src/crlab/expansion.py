@@ -19,16 +19,16 @@ import numpy as np
 
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, power_at_most, zeta
 from .cr_sum import (
-    _ascii_text, _check_cells, _cr_column, _cr_values_at_root, _dirichlet_sieve, _rounded,
-    _row_slices, _sieve_rows, _weighted_sum, _write_rows,
+    _INT64_LIMIT, _ascending_sums, _ascii_text, _check_cells, _cr_column, _cr_values_at_root,
+    _dirichlet_sieve, _grid_dtype, _python_op, _row_slices, _sieve_rows, _write_rows,
 )
 
 PLAIN_N = "plain_n"
 N_TO_S = "n_to_s"
 _MODES = (PLAIN_N, N_TO_S)
 
-# Largest truncation R of a closed-form series (expand, shift, correlate t1/t2).
-# At this limit `shift` takes about 2.4 s and 0.16 GB on a 2-core x86-64 VM.
+# Largest truncation R of a closed-form series (expand, shift, correlate t1/t2). At this
+# limit `shift` takes about 1.5 s and 153 MiB, `expand --n` 1.7 s and 115 MiB (2-core x86-64 VM).
 MAX_SERIES_R = 10**6
 
 
@@ -74,8 +74,10 @@ def sigma_expansion(k: int, s: int, r_max: int) -> ExpansionCoefficients:
     # z < 2, so z / r**exp rounds to 0.0 once r**exp >= 2**1076; those r**exp,
     # which may be huge, are never formed.
     nonzero = min(r_max, 2 ** -(-1076 // exp) - 1)
-    quotients = (_rounded(operator.truediv, z, r**exp) for r in range(1, nonzero + 1))
-    coeffs = tuple(quotients) + (0.0,) * (r_max - nonzero)
+    # int64 powers need exp < 63, an exponent numpy's ** takes; else Python ints
+    fits = exp < 63 and power_at_most(nonzero, exp, _INT64_LIMIT - 1) is not None
+    powers = np.arange(1, nonzero + 1, dtype=np.int64 if fits else object) ** exp
+    coeffs = tuple(_python_op(operator.truediv, z, powers).tolist()) + (0.0,) * (r_max - nonzero)
     return ExpansionCoefficients(
         s=s, argument_mode=N_TO_S, coeffs=coeffs, provenance=f"closed_form_sigma(k={k})"
     )
@@ -115,7 +117,7 @@ def evaluate(family: ExpansionCoefficients, n: int) -> float:
     else:
         # c_r^s(n**s): the s-th root part of n**s is n, so n**s is never factorized.
         c_values = _cr_values_at_root(n, s, r_max)
-    return _weighted_sum(coeffs[:r_max], c_values)
+    return float(_ascending_sums(_python_op(operator.mul, coeffs[:r_max], c_values[1:]), -1))
 
 
 def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: int) -> list[float]:
@@ -124,9 +126,10 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     f_values[n] = f(n) as float64 for n <= N = len(f_values) - 1, slot 0 unused.
     The rows are sieved straight to N in blocks of about _BLOCK_CELLS cells
     (_row_slices; one block is held at a time), with all R * (N + 1) cells
-    held to MAX_TABLE_CELLS before any sieving. Each block is summed by one
-    np.cumsum along its rows, which adds every row in ascending n, so each
-    sum equals a Python loop over n bit for bit. The rows leave out n = 0,
+    held to MAX_TABLE_CELLS before any sieving. Each block's products are
+    added along its rows in ascending n (_ascending_sums), and every product
+    and quotient is Python's (_python_op), so each mean value equals a Python
+    loop over n bit for bit. The rows leave out n = 0,
     and a divisor Phi_s(r**s) = J_s(r) >= r**(s - 1) that would round the
     quotient to 0 is never formed.
     When r**s | N whole periods of c_r^s are averaged (see is_period_exact); no
@@ -139,24 +142,23 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     if r_values and n_limit < 1:
         raise ValueError(f"n_limit must be >= 1, got {n_limit}")
     _check_cells(len(r_values), n_limit)
-    sums = []
+    sums = [np.zeros(0)]  # a block of no rows: np.concatenate needs one when r_values is empty
     for r_slice in _row_slices(r_values, n_limit):
-        terms = _sieve_rows(r_slice, n_limit, s)[:, 1:] * f_values[1:]
-        np.cumsum(terms, axis=1, out=terms)
-        sums += (terms[:, -1] + 0.0).tolist()  # + 0.0 turns a -0.0 sum into 0.0
+        terms = _python_op(operator.mul, f_values[1:], _sieve_rows(r_slice, n_limit, s)[:, 1:])
+        sums.append(_ascending_sums(terms, -1))
         del terms  # else it stays bound while the next block is sieved
-    means = zip(r_values, (total / n_limit for total in sums))
+    means = _python_op(operator.truediv, np.concatenate(sums), n_limit)
     # A finite mean is below 2**max_exp and the least subnormal is 2**(min_exp - mant_dig),
     # so once J_s(r) >= r**(s - 1) reaches 2**(max_exp - min_exp + mant_dig + 1) the
-    # quotient is below half the least subnormal and rounds to +-0.
+    # quotient is below half the least subnormal and rounds to +-0. Such a J_s(r) is not
+    # formed: 1 stands in for it and the quotient is set to 0.0.
     info = sys.float_info
     underflow = 2 ** (info.max_exp - info.min_exp + info.mant_dig + 1) - 1
-    # Python's division even past the float range; + 0.0 turns an underflowed -0.0 into 0.0
-    return [
-        0.0 if power_at_most(r, s - 1, underflow) is None
-        else _rounded(operator.truediv, m, jordan_totient(r, s)) + 0.0
-        for r, m in means
-    ]
+    kept = np.fromiter((power_at_most(r, s - 1, underflow) is not None for r in r_values), bool)
+    phis = (jordan_totient(r, s) if keep else 1 for r, keep in zip(r_values, kept))
+    phi = np.fromiter(phis, _grid_dtype(max(r_values, default=1), s))
+    # + 0.0 turns an underflowed -0.0 into 0.0
+    return (np.where(kept, _python_op(operator.truediv, means, phi), 0.0) + 0.0).tolist()
 
 
 def is_period_exact(r: int, s: int, n_limit: int) -> bool:
@@ -184,13 +186,7 @@ def shift_coefficients(family: ExpansionCoefficients, h: int) -> ExpansionCoeffi
     c_at_h = _cr_column(h, family.s, r_max)[1:]
     # c_r^s(0) = Phi_s(r**s): one sieve instead of a factorization per r.
     phi = _cr_column(0, family.s, r_max)[1:]
-    # Below 2**53 both ints are exact float64s, so numpy's division is Python's
-    # correctly rounded int / int; the r past it divide as Python ints.
-    exact = (np.abs(c_at_h) < 2**53) & (phi < 2**53)
-    quotients = np.empty(r_max)
-    quotients[exact] = c_at_h[exact].astype(np.float64) / phi[exact].astype(np.float64)
-    wide = np.flatnonzero(~exact)
-    quotients[wide] = [c / d for c, d in zip(c_at_h[wide].tolist(), phi[wide].tolist())]
+    quotients = _python_op(operator.truediv, c_at_h, phi)
     # + 0.0 turns a product that underflowed to -0.0 into 0.0; other bits stay.
     shifted = tuple((np.array(family.coeffs) * quotients + 0.0).tolist())
     return replace(family, coeffs=shifted, provenance=f"shifted(h={h})")
@@ -205,7 +201,7 @@ def tau_weighted_norm(family: ExpansionCoefficients) -> float:
     if not family.coeffs:
         return 0.0
     tau = _dirichlet_sieve(np.ones(len(family.coeffs) + 1, dtype=np.int64), None)
-    return _weighted_sum(np.abs(family.coeffs), tau)
+    return float(_ascending_sums(_python_op(operator.mul, np.abs(family.coeffs), tau[1:]), -1))
 
 
 def write_coefficients_csv(handle: BinaryIO, family: ExpansionCoefficients) -> None:

@@ -18,7 +18,6 @@ from crlab import asymptotics
 from crlab.asymptotics import (
     MAX_SIGMA_LIMIT,
     CorrelationConfig,
-    _running_sums,
     _sigma_ratio_values,
     correlation_sum,
     corollary_lhs,
@@ -31,7 +30,7 @@ from crlab.asymptotics import (
     theorem2_main,
 )
 from crlab.core_arith import is_power_free, jordan_totient, sigma_real, tau_s, zeta
-from crlab.cr_sum import ResourceLimitError, _power_row, build_table, cr_sum_exact
+from crlab.cr_sum import ResourceLimitError, _ascending_sums, _power_row, build_table, cr_sum_exact
 from crlab.expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
 # zeta(3)**2 / zeta(6), frozen from a 30-digit mpmath evaluation
@@ -292,7 +291,8 @@ def test_running_sums_match_correlation_sum_bitwise():
     for h in (0, 1, 9):
         # a one-entry schedule, and one whose last N + h is the end of g
         for schedule in ((37,), (1, 2, 50, 299, 309 - h)):
-            sums = _running_sums(f, g, h, schedule)
+            top = schedule[-1]
+            sums = _ascending_sums(f[1 : top + 1] * g[1 + h : top + h + 1], [n - 1 for n in schedule])
             expected = [correlation_sum(f.item, g.item, h, n) for n in schedule]
             assert [v.hex() for v in sums] == [v.hex() for v in expected]
 

@@ -417,6 +417,36 @@ def test_ignored_flags_are_rejected(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "method",
+    [("--method", "one"), ("--method", "crsum", "--k", "2"), ("--method", "sigma", "--k", "1")],
+    ids=["one", "crsum", "sigma"],
+)
+@pytest.mark.parametrize(
+    "extent, message",
+    [
+        (("--N", "10", "--R", "0"), "--R must be >= 1, got 0"),
+        (("--N", "10", "--R", "-3"), "--R must be >= 1, got -3"),
+        (("--N", "0", "--R", "0"), "--R must be >= 1, got 0"),
+        (("--N", "0", "--R", "5"), "--N must be >= 1, got 0"),
+        (("--N", "0"), "--N must be >= 1, got 0"),
+        (("--N", "-2", "--r", "3"), "--N must be >= 1, got -2"),
+        (("--N", "10", "--r", "0"), "--r must be >= 1, got 0"),
+    ],
+)
+def test_meanvalue_rejects_an_empty_truncation(tmp_path, capsys, monkeypatch, method, extent, message):
+    # refused before any row is built
+    monkeypatch.setattr(cr_sum, "_mobius_terms", None)
+    _forbid_sigma_rows(monkeypatch)
+    path = tmp_path / "mv.csv"
+    to_file = ("--out", str(path)) if "--R" in extent else ()  # --out needs --R
+    code, out, err = run_cli(capsys, "meanvalue", *method, "--s", "1", *extent, *to_file)
+    assert code == EXIT_USAGE
+    assert message in err
+    assert out == ""
+    assert not path.exists()
+
+
 def test_meanvalue_r_defaults_to_one(capsys):
     code, out, _ = run_cli(capsys, *MEANVALUE_ONE)
     assert code == EXIT_OK

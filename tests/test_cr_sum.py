@@ -3,8 +3,10 @@
 import cmath
 import io
 import math
+import operator
 import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -687,3 +689,62 @@ def test_exact_route_periodic_and_bounded(r, n, s):
     assert value == cr_sum_exact(r, n + r**s, s)
     if n >= 1:
         assert abs(value) <= sigma_ks(n, 1, s)
+
+
+# --- Python's float bits for columns of exact ints ------------------------------
+
+# near 0, at the 2**53 edge of the exact float64 ints and the int64 edge, and past 2**1024
+_EDGE_INTS = st.one_of(
+    st.integers(-1000, 1000),
+    st.sampled_from((2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1)),
+    st.integers(-(2**63) + 1, 2**63 - 1),
+    st.integers(2**1024, 2**1100),
+).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+def _int_array(values, as_object):
+    """values as int64, or as Python ints in an object array when asked or when one is past int64."""
+    if as_object or any(abs(v) >= 2**63 for v in values):
+        return np.array(values, dtype=object)
+    return np.array(values, dtype=np.int64)
+
+
+def _python_or_exact(op, a, b):
+    """Python's a * b or a / b; only where Python raises OverflowError, the exact value rounded once."""
+    try:
+        return op(a, b)
+    except OverflowError:
+        return float(op(Fraction(a), b))
+
+
+@st.composite
+def _op_cases(draw):
+    """(op, x, n, as_object): floats times ints, or floats or ints (numerators of / only) over nonzero ints."""
+    op = draw(st.sampled_from((operator.mul, operator.truediv)))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    numerators = _EDGE_INTS if op is operator.truediv and draw(st.booleans()) else floats
+    x = draw(st.lists(numerators, min_size=1, max_size=12))
+    ints = _EDGE_INTS.filter(bool) if op is operator.truediv else _EDGE_INTS
+    n = draw(st.lists(ints, min_size=len(x), max_size=len(x)))
+    return op, x, n, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_op_cases())
+@example((operator.truediv, [2**53 - 1, 2**53 + 1, -(2**53), 0, -7, 2**63 - 1], [2**53 + 1, 2**53 - 1, 3, 5, 2**63 - 1, 3], False))
+@example((operator.mul, [-0.0, 1.5, -3.0, -2.5, 1e-300], [7, 0, 0, 2**53 + 1, 2**1100], False))
+@example((operator.truediv, [1.0, -1.0, 5e-324, -0.0, 1e-300], [2**1060, 2**1100, 3, 5, -(2**1024)], True))
+def test_python_op_matches_pythons_operators(case):
+    op, xs, ns, as_object = case
+    x = np.array(xs) if type(xs[0]) is float else _int_array(xs, as_object)
+    n = _int_array(ns, as_object)
+    try:
+        expected = [_python_or_exact(op, a, b) for a, b in zip(xs, ns)]
+    except OverflowError:  # a result past the float range: Python refuses it, and so does the column
+        with pytest.raises(OverflowError):
+            cr_sum._python_op(op, x, n)
+        return
+    with np.errstate(over="ignore"):  # Python's float * int also overflows to inf
+        got = cr_sum._python_op(op, x, n)
+    assert got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]

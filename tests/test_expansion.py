@@ -73,6 +73,11 @@ def test_sigma_expansion_coefficient_examples():
     assert abs(fam.coefficient(2) - 0.4112335) < 1e-6
     fam22 = sigma_expansion(2, 2, 3)
     assert abs(fam22.coefficient(1) - 1.2020569) < 1e-6
+    # r**((k + 1) s) on both sides of 2**53 (4**26 = 2**52, then 2**53 itself); past int64 at 63
+    for k, s in ((25, 1), (52, 1), (20, 3), (62, 1)):
+        z = zeta(k + 1)
+        expected = [z / r ** ((k + 1) * s) for r in range(1, 41)]
+        assert _hexes(sigma_expansion(k, s, 40).coeffs) == _hexes(expected)
 
 
 def test_sigma_expansion_structure():
@@ -184,6 +189,8 @@ def _hexes(values) -> list[str]:
     n=st.integers(min_value=1, max_value=5000),
     mode=st.sampled_from(("plain_n", "n_to_s")),
 )
+@example(coeffs=[0.5] * 22, s=12, n=462, mode="n_to_s")  # J_12(21) < 2**53 < J_12(22), both in int64
+@example(coeffs=[1.0, -1.0, 0.25], s=53, n=6, mode="n_to_s")  # J_53(2) = 2**53 - 1, past it J_53(3)
 def test_evaluate_and_tau_norm_match_scalar_loops_bitwise(coeffs, s, n, mode):
     # the loops the array reductions replaced, on c values from cr_sum_exact and tau from factorize
     family = ExpansionCoefficients(s=s, argument_mode=mode, coeffs=tuple(coeffs), provenance="x")
@@ -213,6 +220,7 @@ _SIGMA_3000 = sigma_expansion(1, 1, 3000).coeffs
 @example(coeffs=[1.0 / r for r in range(1, 11)], s=20, h=1)  # J_20(r) >= 2**53 from r = 7
 @example(coeffs=[1.0 / r for r in range(1, 11)], s=20, h=6**20)
 @example(coeffs=list(sigma_expansion(5000, 1, 50).coeffs), s=1, h=10**7)  # 0.0 * -q = -0.0
+@example(coeffs=[1.0, -1.0, 0.5], s=53, h=2**53)  # J_53(2) = 2**53 - 1 divides in float64, J_53(3) as a Python int
 def test_shift_coefficients_match_scalar_loop_bitwise(coeffs, s, h):
     # the per-r loop of Python int / int that the float64 array division
     # replaced: s = 9, 12 and 20 pass r**s = 2**53, past which a float64
@@ -330,6 +338,7 @@ def _mean_value_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(case=_mean_value_cases())
+@example(case=([0.0, 1.0, -2.5, 3.0], [1, 2, 3], 53))  # J_53(2) = 2**53 - 1, past it J_53(3)
 def test_mean_value_coefficients_match_loop_oracle(case):
     f_values, r_values, s = case
     got = mean_value_coefficients(np.array(f_values), r_values, s)
@@ -358,17 +367,6 @@ def test_mean_value_rows_in_blocks_match_loop_oracle(monkeypatch):
     assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
-def _per_row_running_sums(f_values, r_values, s: int) -> list[float]:
-    """The mean values one row at a time: a _running_sums call per row of exact c_r^s(n)."""
-    n_limit = len(f_values) - 1
-    means = []
-    for r in r_values:
-        row = np.array([0] + [cr_sum_exact(r, n, s) for n in range(1, n_limit + 1)], dtype=np.int64)
-        total = cr_sum._running_sums(np.array(f_values), row, 0, (n_limit,))[0]
-        means.append(total / n_limit / jordan_totient(r, s) + 0.0)
-    return means
-
-
 @settings(max_examples=60, deadline=None)
 @given(case=_mean_value_cases(), rows_per_block=st.integers(0, 3))
 @example(case=([0.0] + [(-1.0) ** n * n / 7 for n in range(1, 301)], [2, 20, 30, 1, 7], 13), rows_per_block=2)
@@ -379,7 +377,7 @@ def test_mean_value_blocks_match_per_row_running_sums(case, rows_per_block):
     budget = max(1, rows_per_block * len(f_values))
     with mock.patch.object(cr_sum, "_BLOCK_CELLS", budget):
         got = mean_value_coefficients(np.array(f_values), r_values, s)
-    expected = _per_row_running_sums(f_values, r_values, s)
+    expected = [_oracle_mean_value(f_values, r, s) + 0.0 for r in r_values]
     assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
