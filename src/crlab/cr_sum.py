@@ -12,15 +12,16 @@ period rows (_table_rows) fill it from jordan_totient. Tables are read-only
 int64 (or object) grids; the
 `table` command sieves row blocks of about _BLOCK_CELLS cells and writes each
 block straight to CSV, so it holds one block and no per-cell Python int,
-however large the table is. The CSV text of an int64 block is built by numpy
-in tiles of about _TILE_CELLS cells (_TileWriter), in one reused record of
-NUL-padded uint32 words per cell that lose their NULs as they are written:
-the r label, the ",n," label (built once per table) and the value (one
-lookup when the tile's values are below 1000 in size, else 3-digit chunks
-looked up in _chunk_words); blocks past int64 keep one %-format per row.
-Every other file (lemma and correlation reports, coefficient and
-orthogonality CSV) is written by _write_rows, _TEXT_BLOCK %-formatted rows at
-a time. Mean values sum the same row blocks.
+however large the table is. The CSV text of every block, int64 or object, is
+built by numpy in tiles of about _TILE_CELLS cells (_TileWriter), in one
+reused record of NUL-padded uint32 words per cell that lose their NULs as
+they are written: the r label, the ",n," label (built once per table) and
+one word for the value, looked up in _small_words. The rare values of 1000
+or more in size (past int64 too) take a "%d" marker word there and are
+printed by Python into the tile text with one %-format. Every other file
+(lemma and correlation reports, coefficient and orthogonality CSV) is
+written by _write_rows, _TEXT_BLOCK %-formatted rows at a time. Mean values
+sum the same row blocks.
 Orthogonality sums are exact integer Gram matrices of period rows.
 
 No power r**s is formed past the budget it is held to: core_arith.power_at_most
@@ -72,7 +73,7 @@ MAX_TABLE_CELLS = 50_000_000
 # mean values are summed; a block always holds at least one row.
 _BLOCK_CELLS = 2**20
 
-# Cells per tile of CSV text from an int64 block.
+# Cells per tile of CSV text from a row block.
 _TILE_CELLS = 2**15
 
 # Rows of a report (lemma points, coefficients, ...) formatted per write.
@@ -173,29 +174,13 @@ def _check_table(r_max: int, n_max: int, s: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _chunk_words() -> np.ndarray:
-    """The 3-digit chunks c < 1000 as uint32 words, NUL-padded in front, in five variants of 1000.
-
-    At _TOP a top chunk without its leading zeros, where 0 is blank (a chunk
-    above the value's top); at _NEG the same after '-'; at _INNER the chunk
-    zero-padded; at _TOP + _LOWEST and _NEG + _LOWEST the top variants of the
-    lowest chunk, where 0 prints as 0. Built on the first table written, not
-    on import.
-    """
-    top = [b"%d" % c for c in range(1000)]
-    neg = [b"-" + text for text in top]
-    inner = [b"%03d" % c for c in range(1000)]
-    variants = ([b""] + top[1:], [b""] + neg[1:], inner, top, neg)
-    return _words(chain.from_iterable(variants))
-
-
-_TOP, _NEG, _INNER, _LOWEST = 0, 1000, 2000, 3000
-
-
-@lru_cache(maxsize=None)
 def _small_words() -> np.ndarray:
-    """str(v) for -999 <= v <= 999 as one NUL-padded uint32 word each, at index v + 999."""
-    return _words(b"%d" % v for v in range(-999, 1000))
+    """str(v) for -999 <= v <= 999 as one NUL-padded uint32 word each, at index v + 1000.
+
+    Indexes 0 and 2000 hold the marker "%d" for the values of 1000 or more
+    in size, which the writer clips to -1000 and 1000.
+    """
+    return _words(chain((b"%d",), (b"%d" % v for v in range(-999, 1000)), (b"%d",)))
 
 
 def _words(texts: Iterable[bytes]) -> np.ndarray:
@@ -225,37 +210,19 @@ def _label_words(lo: int, hi: int, lead: bytes, tail: bytes) -> np.ndarray:
     return text.view(np.uint32)
 
 
-def _value_words(q: np.ndarray, negative: np.ndarray, out: np.ndarray) -> None:
-    """Write the values with magnitudes q and signs negative as 3-digit chunk words into out.
-
-    out has one word per chunk of the largest magnitude, top chunk first; a
-    value's chunks above its top are blank.
-    """
-    words = _chunk_words()
-    if out.shape[-1] <= 3:  # every magnitude < 10**9 < 2**32: faster division
-        q = q.astype(np.uint32)
-    top = np.where(negative, _NEG + _LOWEST, _TOP + _LOWEST)
-    for col in range(out.shape[-1] - 1, -1, -1):  # lowest chunk first
-        rest = q // 1000
-        index = np.where(rest > 0, _INNER, top)
-        np.add(index, q - rest * 1000, out=index, casting="unsafe")  # a chunk < 1000 fits
-        out[..., col] = words.take(index)
-        if col == out.shape[-1] - 1:
-            top -= _LOWEST  # above the lowest chunk, 0 is blank
-        q = rest
-
-
 class _TileWriter:
-    """Writes the CSV cells "\nr,n,value" of int64 row blocks in tiles of about _TILE_CELLS cells.
+    """Writes the CSV cells "\nr,n,value" of row blocks in tiles of about _TILE_CELLS cells.
 
     A tile is several rows of a narrow table or one n-window of a wide row.
     Its text is a record of NUL-padded uint32 words per cell: the r label,
-    the ",n," label, then the value, one word from _small_words when every
-    |value| of the tile is below 1000, else its 3-digit chunk words. The
-    NULs are stripped as the tile is written. One record is reused from
-    tile to tile; it is reallocated only when the words per cell change or
-    a tile is larger, and its ",n," columns are rewritten only when the
-    tile's window or r-word count differs from the last one's.
+    the ",n," label, then one word from _small_words for the value. The
+    NULs are stripped as the tile is written. A value of 1000 or more in
+    size (past int64 too, in an object block) takes the marker word "%d",
+    and the tile text, which holds no other %, is %-formatted with those
+    values in row order. One record is reused from tile to tile; it is
+    reallocated only when the words per cell change or a tile is larger,
+    and its ",n," columns are rewritten only when the tile's window or
+    r-word count differs from the last one's.
     """
 
     def __init__(self, handle: BinaryIO, width: int) -> None:
@@ -269,7 +236,7 @@ class _TileWriter:
         self.labels = (-1, 0)  # the n_lo and r-word count of the ",n," words in the record
 
     def write(self, block: np.ndarray, r: int) -> None:
-        """Write the cells of an int64 row block whose first row is r.
+        """Write the cells of an int64 or object row block whose first row is r.
 
         The r labels are built for whole tiles of at least 1024 rows at a
         time, so a table of one-row tiles does not build one per row.
@@ -284,9 +251,12 @@ class _TileWriter:
                     self._write_tile(r_words[lo : lo + step], n_lo, tile)
 
     def _write_tile(self, r_words: np.ndarray, n_lo: int, tile: np.ndarray) -> None:
-        """Write the cells of a tile whose rows carry r_words and whose first column is n_lo."""
-        low, high = int(tile.min()), int(tile.max())
-        chunks = -(-len(str(max(-low, high))) // 3)
+        """Write the cells of a tile whose rows carry r_words and whose first column is n_lo.
+
+        Each value takes its word from _small_words. Only a tile holding a
+        value of 1000 or more in size clips its values into the marker
+        words and %-formats its text with the values it clipped.
+        """
         n_words = self.n_words
         if n_words is None:
             n_words = _label_words(n_lo, n_lo + tile.shape[1], b",", b",")
@@ -295,42 +265,40 @@ class _TileWriter:
         r_end = r_words.shape[1]
         n_end = r_end + n_words.shape[1]
         rows, cols, size = self.record.shape
-        if rows < len(tile) or cols < tile.shape[1] or size != n_end + chunks:
+        if rows < len(tile) or cols < tile.shape[1] or size != n_end + 1:
             rows, cols = max(rows, len(tile)), max(cols, tile.shape[1])
-            self.record = np.empty((rows, cols, n_end + chunks), dtype=np.uint32)
+            self.record = np.empty((rows, cols, n_end + 1), dtype=np.uint32)
             self.labels = (-1, 0)
         record = self.record[: len(tile), : tile.shape[1]]
         if self.labels != (n_lo, r_end):
             self.record[:, : tile.shape[1], r_end:n_end] = n_words
             self.labels = (n_lo, r_end)
         record[:, :, :r_end] = r_words[:, None]
-        if chunks == 1:
-            record[:, :, n_end] = _small_words().take(tile + 999)
+        wide = ()
+        # clip only a tile that needs it; max first, as most wide values are J_s(r) > 0
+        if tile.max() > 999 or tile.min() < -999:
+            index = np.clip(tile, -1000, 1000).astype(np.int64, copy=False)
+            wide = tuple(tile[abs(index) == 1000].tolist())
         else:
-            _value_words(np.abs(tile).view(np.uint64), tile < 0, record[:, :, n_end:])
-        self.handle.write(record.tobytes().translate(None, b"\0"))
+            index = tile.astype(np.int64, copy=False)  # an object tile's small values too
+        record[:, :, n_end] = _small_words().take(index + 1000)
+        text = record.tobytes().translate(None, b"\0")
+        self.handle.write(text % wide if wide else text)
 
 
 def _write_csv(handle: BinaryIO, blocks: Iterable[np.ndarray], n_max: int) -> None:
     """Write the table CSV (header r,n,value) of the row blocks of r = 1, 2, ..., in order.
 
-    Each cell is the text "\nr,n,value" and one newline closes the file. An
-    int64 block goes through one _TileWriter for the whole table; an object
-    block (values past int64) is one %-format of Python ints per row, over a
-    template of every n of the row. A block is let go before the next one is
-    drawn from blocks.
+    Each cell is the text "\nr,n,value" and one newline closes the file.
+    Every block, int64 or object (values past int64), goes through one
+    _TileWriter for the whole table. A block is let go before the next one
+    is drawn from blocks.
     """
     handle.write(b"r,n,value")
     tiles = _TileWriter(handle, n_max + 1)
     r = 1
     for block in blocks:
-        if block.dtype != object:
-            tiles.write(block, r)
-        else:
-            tails = [b",%d,%%d" % n for n in range(n_max + 1)]
-            for i, row in enumerate(block, start=r):
-                prefix = b"\n%d" % i
-                handle.write((prefix + prefix.join(tails)) % tuple(row.tolist()))
+        tiles.write(block, r)
         r += len(block)
         del block  # else it stays bound while a generator of blocks sieves the next
     handle.write(b"\n")
@@ -484,7 +452,7 @@ def _python_op(op: Callable[[float, int], float], x: np.ndarray, n: np.ndarray) 
     wide = np.nonzero(~exact)
     rounded = [_rounded(op, a, b) for a, b in zip(x[wide].tolist(), n[wide].tolist())]
     # object ints are cast with 1 in place of each wide int, whose result is overwritten
-    out = op(*(a if a.dtype != object else np.where(exact, a, 1).astype(np.float64) for a in (x, n)))
+    out = op(*(np.where(exact, a, 1).astype(np.float64) if a.dtype == object else a for a in (x, n)))
     out[wide] = rounded
     return out
 
@@ -687,8 +655,10 @@ class CRSumTable:
     """Immutable dense table of c_r^s(n) over 1 <= r <= r_max, 0 <= n <= n_max.
 
     values is a read-only (r_max, n_max + 1) ndarray, int64 or (past int64)
-    object; value() and row() return Python ints. Tables compare by identity,
-    since == on ndarrays is elementwise.
+    object; value() and row() return Python ints. write_csv sends either
+    dtype through the one tile writer, one value word per cell, with the
+    values of 1000 or more in size printed by Python. Tables compare by
+    identity, since == on ndarrays is elementwise.
     """
 
     s: int

@@ -539,7 +539,12 @@ def _csv_blocks(draw):
 @example(case=([np.zeros((3, 5), dtype=np.int64), np.ones((2, 5), dtype=object) * 10**30], 4, 7, 2**20))
 @example(case=([np.arange(-999, 1001, dtype=np.int64).reshape(40, 50)], 49, 8, 2**20))  # windows over rows
 @example(case=([np.arange(-999, 1001, dtype=np.int64).reshape(40, 50)], 49, 8, 1))
-@example(case=([np.full((4, 3), 1000), np.full((5, 3), -999)], 2, 2, 2**20))  # two chunks, then one
+@example(case=([np.full((4, 3), 1000), np.full((5, 3), -999)], 2, 2, 2**20))  # wide tiles, then small
+@example(case=([np.array([[10**6, 0, 1], [-2, 3, -(10**6)]])], 2, 2**16, 2**20))  # wide at both tile ends
+@example(case=([np.arange(1000, 1300, dtype=np.int64).reshape(300, 1) * -1], 0, 64, 2**20))  # column 0 of --n 0
+@example(case=([np.array([[999, 1000, -1000, -999, 2**63 - 1, -(2**63 - 1), 1000, 999, -999]])], 8, 4, 2**20))
+@example(case=([cr_sum._table_rows(range(1, 21), 4, 17)], 4, 16, 2**20))  # past int64 in column 0 only
+@example(case=([np.arange(-999, 1001).reshape(40, 50).astype(object)], 49, 64, 2**20))  # small object values
 def test_write_csv_matches_fstring_oracle(case):
     blocks, n_max, tile, budget = case
     expected = "r,n,value\n" + "".join(
