@@ -109,7 +109,7 @@ def theorem2_main(
     if r_limit == 0:
         return 0.0
     c_at_h = _cr_column(h, coeffs_f.s, r_limit)[1:]
-    weights = np.array(coeffs_f.coeffs[:r_limit]) * np.array(coeffs_g.coeffs[:r_limit])
+    weights = coeffs_f.coeffs[:r_limit] * coeffs_g.coeffs[:r_limit]
     return float(_ascending_sums(_python_op(operator.mul, weights, c_at_h), -1))
 
 

@@ -172,7 +172,7 @@ def _cmd_meanvalue(args: argparse.Namespace) -> int:
         family = expansion.ExpansionCoefficients(
             s=args.s,
             argument_mode=expansion.PLAIN_N,
-            coeffs=tuple(coeffs),
+            coeffs=coeffs,
             provenance=f"mean_value(method={args.method}, N={args.N})",
         )
         with _output(args.out) as handle:

@@ -26,7 +26,7 @@ Orthogonality sums are exact integer Gram matrices of period rows.
 
 No power r**s is formed past the budget it is held to: core_arith.power_at_most
 decides r**s <= bound from bit lengths first. It picks int64 or object
-tables and columns (_grid_dtype), holds the exponential and orthogonality
+exact columns (_grid_dtype), holds the exponential and orthogonality
 periods to EXPONENTIAL_ROUTE_LIMIT (_check_period), and lets the row sieve
 skip every stride d**s past n_max, so a huge s costs no more than a small
 one there.
@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -81,7 +81,8 @@ _TEXT_BLOCK = 2**12
 
 # Largest n a sigma row is built for. A correlate run holds at most three
 # float64 rows of about N + h cells at once (f, g and the power row or the
-# running sums), so at this limit it peaks near 0.5 GB.
+# running sums), so at this limit it peaks near 0.5 GB; the corollary with
+# a = 1.75, b = 2.5 takes about 7 s there (2-core x86-64 VM).
 MAX_SIGMA_LIMIT = 20_000_000
 
 # int64 matrix products are used while every partial sum stays below this.
@@ -143,13 +144,15 @@ def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
 def _table_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
     """c_r^s(n) for 0 <= n <= n_max: _sieve_rows with column 0 set to J_s(r).
 
-    The grid is int64 while _grid_dtype(max(r_values), s) allows it, else
-    Python ints in an object array.
+    Column 0 is the only one that can pass int64 (the sieved values are at
+    most sigma(n)), so it is built first and the grid becomes Python ints in
+    an object array only when some J_s(r) >= 2**63.
     """
+    column = [jordan_totient(r, s) for r in r_values]
     rows = _sieve_rows(r_values, n_max, s)
-    if _grid_dtype(max(r_values, default=1), s) is object:
+    if max(column, default=0) >= _INT64_LIMIT:
         rows = rows.astype(object)
-    rows[:, 0] = np.fromiter((jordan_totient(r, s) for r in r_values), rows.dtype, len(r_values))
+    rows[:, 0] = column
     return rows
 
 
@@ -350,32 +353,35 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     return a @ b
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A read-only view of values, so values itself keeps its flags."""
+    view = values.view()
+    view.setflags(write=False)
+    return view
+
+
 def _power_row(limit: int, x: float) -> np.ndarray:
     """pw[d] = float(d) ** x for d <= limit (slot 0 is 0.0).
 
-    When x is a non-negative integer and limit**x <= 2**53, every power is an
-    integer that float64 holds exactly, so libm pow returns it exactly and the
-    row is built as exact int64 powers. Otherwise each power is a scalar
-    float ** (libm pow), the same bits as sigma_real; numpy's vectorized **
-    does not match them. A power past the float range, where pow would raise
-    (or, at x = inf, return inf), is refused before the row is built.
+    The row is one np.float_power over d = 1..limit, in place: it calls libm
+    pow once per entry, as Python's float ** does, so every power has the
+    bits of sigma_real's; numpy's vectorized np.power (and **) does not
+    match them. A power past the float range, where pow would raise (or, at
+    x = inf, return inf), is refused before the row is built.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > MAX_SIGMA_LIMIT:
         raise ResourceLimitError(f"sigma row up to n = {limit} exceeds {MAX_SIGMA_LIMIT}")
-    if 0 <= x <= 53 and float(x).is_integer() and power_at_most(limit, int(x), 2**53) is not None:
-        row = np.arange(limit + 1, dtype=np.int64) ** int(x)
-        row[0] = 0
-        return row.astype(np.float64)
     try:
         top = pow(float(limit), x)  # d**x grows with d when x > 0
     except OverflowError:
         top = math.inf
     if top == math.inf:
         raise ResourceLimitError(f"sigma row power {limit}**{x} exceeds the float range")
-    powers = map(pow, map(float, range(1, limit + 1)), repeat(x))
-    return np.fromiter(chain((0.0,), powers), dtype=np.float64, count=limit + 1)
+    row = np.arange(limit + 1, dtype=np.float64)  # slot 0 is already 0.0
+    np.float_power(row[1:], x, out=row[1:])
+    return row
 
 
 def _dirichlet_sieve(f: np.ndarray, g: np.ndarray | None) -> np.ndarray:
@@ -482,9 +488,7 @@ def s_reduced_residues(r: int, s: int) -> np.ndarray:
     mask[0] = False
     for p, _ in factorize(r).factors:
         mask[:: p**s] = False
-    residues = np.nonzero(mask)[0].astype(np.int64)
-    residues.setflags(write=False)
-    return residues
+    return _read_only(np.nonzero(mask)[0].astype(np.int64))
 
 
 def cr_sum_exponential(r: int, n: int, s: int) -> complex:
@@ -667,12 +671,11 @@ class CRSumTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values).view()  # a view, so the caller's array keeps its flags
+        values = _read_only(np.asarray(self.values))
         if values.ndim != 2 or values.shape[0] != self.r_max:
             raise ValueError("row count does not match r_max")
         if values.shape[1] != self.n_max + 1:
             raise ValueError("row length does not match n_max")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def value(self, r: int, n: int) -> int:

@@ -13,14 +13,16 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, power_at_most, zeta
 from .cr_sum import (
-    _INT64_LIMIT, _ascending_sums, _ascii_text, _check_cells, _cr_column, _cr_values_at_root,
-    _dirichlet_sieve, _grid_dtype, _python_op, _row_slices, _sieve_rows, _write_rows,
+    _INT64_LIMIT, _TEXT_BLOCK, _ascending_sums, _ascii_text, _check_cells, _cr_column,
+    _cr_values_at_root, _dirichlet_sieve, _grid_dtype, _python_op, _read_only, _row_slices,
+    _sieve_rows, _write_rows,
 )
 
 PLAIN_N = "plain_n"
@@ -28,23 +30,30 @@ N_TO_S = "n_to_s"
 _MODES = (PLAIN_N, N_TO_S)
 
 # Largest truncation R of a closed-form series (expand, shift, correlate t1/t2). At this
-# limit `shift` takes about 1.5 s and 153 MiB, `expand --n` 1.7 s and 115 MiB (2-core x86-64 VM).
+# limit `shift` takes about 1.7 s and 78 MiB, `expand --n` 2 s and 77 MiB (2-core x86-64 VM).
 MAX_SERIES_R = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionCoefficients:
-    """Truncated coefficient family: coeffs[i] is fhat(i + 1)."""
+    """Truncated coefficient family: coeffs[i] is fhat(i + 1).
+
+    coeffs is a read-only float64 column, made once from any sequence of
+    floats; a float64 array is taken as a view, not copied, so replace() and
+    as_plain_n share it. Families compare by identity, since == on ndarrays
+    is elementwise.
+    """
 
     s: int
     argument_mode: str
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
     provenance: str
 
     def __post_init__(self) -> None:
         check_exponent(self.s)
         if self.argument_mode not in _MODES:
             raise ValueError(f"argument_mode must be one of {_MODES}, got {self.argument_mode!r}")
+        object.__setattr__(self, "coeffs", _read_only(np.asarray(self.coeffs, dtype=np.float64)))
 
     @property
     def r_max(self) -> int:
@@ -53,7 +62,7 @@ class ExpansionCoefficients:
     def coefficient(self, r: int) -> float:
         if not 1 <= r <= len(self.coeffs):
             raise ValueError(f"r = {r} outside family range 1..{len(self.coeffs)}")
-        return self.coeffs[r - 1]
+        return float(self.coeffs[r - 1])
 
 
 def sigma_expansion(k: int, s: int, r_max: int) -> ExpansionCoefficients:
@@ -77,7 +86,7 @@ def sigma_expansion(k: int, s: int, r_max: int) -> ExpansionCoefficients:
     # int64 powers need exp < 63, an exponent numpy's ** takes; else Python ints
     fits = exp < 63 and power_at_most(nonzero, exp, _INT64_LIMIT - 1) is not None
     powers = np.arange(1, nonzero + 1, dtype=np.int64 if fits else object) ** exp
-    coeffs = tuple(_python_op(operator.truediv, z, powers).tolist()) + (0.0,) * (r_max - nonzero)
+    coeffs = np.pad(_python_op(operator.truediv, z, powers), (0, r_max - nonzero))
     return ExpansionCoefficients(
         s=s, argument_mode=N_TO_S, coeffs=coeffs, provenance=f"closed_form_sigma(k={k})"
     )
@@ -107,8 +116,7 @@ def evaluate(family: ExpansionCoefficients, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    coeffs = np.array(family.coeffs)
-    nonzero = np.flatnonzero(coeffs)
+    nonzero = np.flatnonzero(family.coeffs)
     if not len(nonzero):
         return 0.0
     r_max, s = int(nonzero[-1]) + 1, family.s
@@ -117,11 +125,14 @@ def evaluate(family: ExpansionCoefficients, n: int) -> float:
     else:
         # c_r^s(n**s): the s-th root part of n**s is n, so n**s is never factorized.
         c_values = _cr_values_at_root(n, s, r_max)
-    return float(_ascending_sums(_python_op(operator.mul, coeffs[:r_max], c_values[1:]), -1))
+    return float(_ascending_sums(_python_op(operator.mul, family.coeffs[:r_max], c_values[1:]), -1))
 
 
-def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: int) -> list[float]:
+def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: int) -> np.ndarray:
     """(1/N) * sum_{n <= N} f(n) * c_r^s(n) / Phi_s(r**s) for each r of r_values.
+
+    The means come back as one read-only float64 column, in the order of
+    r_values.
 
     f_values[n] = f(n) as float64 for n <= N = len(f_values) - 1, slot 0 unused.
     The rows are sieved straight to N in blocks of about _BLOCK_CELLS cells
@@ -158,7 +169,7 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     phis = (jordan_totient(r, s) if keep else 1 for r, keep in zip(r_values, kept))
     phi = np.fromiter(phis, _grid_dtype(max(r_values, default=1), s))
     # + 0.0 turns an underflowed -0.0 into 0.0
-    return (np.where(kept, _python_op(operator.truediv, means, phi), 0.0) + 0.0).tolist()
+    return _read_only(np.where(kept, _python_op(operator.truediv, means, phi), 0.0) + 0.0)
 
 
 def is_period_exact(r: int, s: int, n_limit: int) -> bool:
@@ -180,16 +191,12 @@ def shift_coefficients(family: ExpansionCoefficients, h: int) -> ExpansionCoeffi
         raise ValueError("shift_coefficients requires a plain_n family")
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
-    if not family.coeffs:
-        return replace(family, provenance=f"shifted(h={h})")
-    r_max = len(family.coeffs)
-    c_at_h = _cr_column(h, family.s, r_max)[1:]
+    c_at_h = _cr_column(h, family.s, family.r_max)[1:]
     # c_r^s(0) = Phi_s(r**s): one sieve instead of a factorization per r.
-    phi = _cr_column(0, family.s, r_max)[1:]
+    phi = _cr_column(0, family.s, family.r_max)[1:]
     quotients = _python_op(operator.truediv, c_at_h, phi)
     # + 0.0 turns a product that underflowed to -0.0 into 0.0; other bits stay.
-    shifted = tuple((np.array(family.coeffs) * quotients + 0.0).tolist())
-    return replace(family, coeffs=shifted, provenance=f"shifted(h={h})")
+    return replace(family, coeffs=family.coeffs * quotients + 0.0, provenance=f"shifted(h={h})")
 
 
 def tau_weighted_norm(family: ExpansionCoefficients) -> float:
@@ -198,15 +205,21 @@ def tau_weighted_norm(family: ExpansionCoefficients) -> float:
     tau(r) comes from one Dirichlet sieve of ones and the terms are added in
     ascending r.
     """
-    if not family.coeffs:
+    if not family.r_max:
         return 0.0
-    tau = _dirichlet_sieve(np.ones(len(family.coeffs) + 1, dtype=np.int64), None)
+    tau = _dirichlet_sieve(np.ones(family.r_max + 1, dtype=np.int64), None)
     return float(_ascending_sums(_python_op(operator.mul, np.abs(family.coeffs), tau[1:]), -1))
 
 
 def write_coefficients_csv(handle: BinaryIO, family: ExpansionCoefficients) -> None:
-    """Write the CSV export (header r,coefficient) as ASCII bytes, 17 significant digits."""
-    _write_rows(handle, b"r,coefficient\n", b"%d,%.17g\n", enumerate(family.coeffs, 1), b"", b"")
+    """Write the CSV export (header r,coefficient) as ASCII bytes, 17 significant digits.
+
+    The column is converted to Python floats _TEXT_BLOCK rows at a time, so
+    the writer never holds a Python float per coefficient of the family.
+    """
+    blocks = np.split(family.coeffs, range(_TEXT_BLOCK, family.r_max, _TEXT_BLOCK))
+    rows = enumerate(chain.from_iterable(map(np.ndarray.tolist, blocks)), 1)
+    _write_rows(handle, b"r,coefficient\n", b"%d,%.17g\n", rows, b"", b"")
 
 
 def coefficients_to_csv_text(family: ExpansionCoefficients) -> str:
@@ -228,5 +241,5 @@ def coefficients_from_csv_text(
             raise ValueError(f"coefficient rows must be contiguous from 1, got r={r_text}")
         coeffs.append(float(coef_text))
     return ExpansionCoefficients(
-        s=s, argument_mode=argument_mode, coeffs=tuple(coeffs), provenance=provenance
+        s=s, argument_mode=argument_mode, coeffs=coeffs, provenance=provenance
     )

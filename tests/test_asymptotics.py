@@ -261,10 +261,15 @@ def test_sigma_sieve_matches_sigma_real_bitwise(limit, x):
         (3.0, 208063), (3, 208064), (4, 9741), (4.0, 9742),
         (20.0, 100),  # far past 2**53, where int64 powers would wrap
         (2.5, 100), (-2.0, 100),
+        # where Python's ** special-cases its operands or a vectorized pow could round differently
+        (math.inf, 1), (-math.inf, 50), (math.nan, 50), (-0.0, 50), (1e-300, 50),
+        (-1074.5, 3), (53.0, 2), (54.0, 2),
+        # the corollary's exponents
+        (1.75, 100_000), (2.5, 100_000), (-3.5, 100_000),
     ],
 )
 def test_power_row_matches_scalar_pow_bitwise(x, limit):
-    # exact integer powers below 2**53 are what libm pow returns
+    # np.float_power calls libm pow per entry, as Python's float ** does
     expected = [0.0] + [float(d) ** x for d in range(1, limit + 1)]
     assert [v.hex() for v in _power_row(limit, x).tolist()] == [v.hex() for v in expected]
 

@@ -425,7 +425,7 @@ def test_write_csv_matches_text_export():
         (7, 1, 2, 6),  # three rows a block, then a single row
         (5, 3, 1, 4),  # one row fills a block exactly
         (4, 9, 3, 5),  # a row longer than a block still makes a block
-        (13, 4, 17, 15),  # s = 17 and r > 11: int64 blocks, then object blocks
+        (16, 4, 17, 15),  # s = 17: int64 blocks, then object blocks once J_17(r) >= 2**63 (r >= 14)
     ],
 )
 def test_streamed_table_crosses_block_boundaries(tmp_path, monkeypatch, r_max, n_max, s, block):

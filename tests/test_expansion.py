@@ -1,6 +1,7 @@
 """Tests for expansion families, evaluation, mean values, and shifts."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -110,9 +111,25 @@ def test_as_plain_n():
     fam = sigma_expansion(1, 1, 4)
     plain = as_plain_n(fam)
     assert plain.argument_mode == "plain_n"
-    assert plain.coeffs == fam.coeffs
+    assert plain.coeffs.tobytes() == fam.coeffs.tobytes()
     with pytest.raises(ValueError):
         as_plain_n(sigma_expansion(1, 2, 4))
+
+
+def test_coefficients_are_one_read_only_column():
+    # every family holds one float64 column; conversions and replace() share it
+    fam = sigma_expansion(1, 1, 4)
+    assert fam.coeffs.dtype == np.float64 and fam.coeffs.shape == (4,)
+    with pytest.raises(ValueError):
+        fam.coeffs[0] = 1.0
+    for other in (as_plain_n(fam), replace(fam, provenance="y")):
+        assert np.shares_memory(other.coeffs, fam.coeffs)
+    column = np.array([0.5, 0.25])
+    family = ExpansionCoefficients(s=1, argument_mode="plain_n", coeffs=column, provenance="x")
+    assert np.shares_memory(family.coeffs, column) and column.flags.writeable
+    assert family != replace(family)  # families compare by identity
+    means = mean_value_coefficients(f_row(lambda n: 1.0, 16), (1, 2), 2)
+    assert means.dtype == np.float64 and not means.flags.writeable
 
 
 # --- evaluation --------------------------------------------------------------
@@ -244,9 +261,9 @@ def test_sigma_expansion_past_the_float_range_underflows_honestly():
         z / 4**512
     assert fam.coeffs[3] == float(Fraction(z) / 4**512) > 0.0
     assert fam.coeffs[3] < 2.0**-1022
-    assert fam.coeffs[4:] == (0.0, 0.0)
+    assert fam.coeffs[4:].tolist() == [0.0, 0.0]
     # r**exp is never formed once the quotient must underflow
-    assert sigma_expansion(10**12, 1, 1000).coeffs[1:] == (0.0,) * 999
+    assert sigma_expansion(10**12, 1, 1000).coeffs[1:].tolist() == [0.0] * 999
 
 
 def test_evaluate_terms_past_the_float_range_round_once():
@@ -273,8 +290,8 @@ def test_mean_value_examples():
     assert mean_value(lambda n: 1.0, 2, 2, 16) == 0.0
     for N in (1, 7, 16):
         assert mean_value(lambda n: 1.0, 1, 2, N) == 1.0
-    assert mean_value_coefficients(f_row(f, 16), (2, 1, 2), 2) == [1.0, 0.0, 1.0]
-    assert mean_value_coefficients(f_row(f, 16), (), 2) == []
+    assert mean_value_coefficients(f_row(f, 16), (2, 1, 2), 2).tolist() == [1.0, 0.0, 1.0]
+    assert mean_value_coefficients(f_row(f, 16), (), 2).tolist() == []
     for r_values, n_limit in (((0,), 16), ((1, -1), 16), ((1,), 0)):
         with pytest.raises(ValueError):
             mean_value_coefficients(f_row(f, n_limit), r_values, 2)
@@ -414,7 +431,7 @@ def test_coefficient_recovery_within_truncation_tail():
 def test_shift_h_zero_is_identity():
     fam = as_plain_n(sigma_expansion(1, 1, 30))
     shifted = shift_coefficients(fam, 0)
-    assert shifted.coeffs == fam.coeffs
+    assert shifted.coeffs.tobytes() == fam.coeffs.tobytes()
     assert shifted.provenance == "shifted(h=0)"
 
 
@@ -487,6 +504,7 @@ def test_tau_weighted_norm_matches_factorized_tau_bitwise():
         assert tau_weighted_norm(family).hex() == expected.hex()
     empty = ExpansionCoefficients(s=1, argument_mode="plain_n", coeffs=(), provenance="x")
     assert tau_weighted_norm(empty) == 0.0
+    assert shift_coefficients(empty, 9).coeffs.shape == (0,)
 
 
 def test_csv_roundtrip_preserves_bits():
@@ -494,7 +512,7 @@ def test_csv_roundtrip_preserves_bits():
     text = coefficients_to_csv_text(fam)
     assert text.startswith("r,coefficient\n1,")
     back = coefficients_from_csv_text(text, s=2, argument_mode="n_to_s")
-    assert back.coeffs == fam.coeffs
+    assert back.coeffs.tobytes() == fam.coeffs.tobytes()
 
 
 def test_csv_rejects_bad_input():
