@@ -13,8 +13,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import repeat
-from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,16 +22,13 @@ from .core_arith import (  # HDecomposition and decompose_h are re-exported
     ResourceLimitError,
     check_exponent,
     decompose_h,
-    jordan_totient,
     power_at_most,
     sigma_real,
-    tau_s,
     zeta,
 )
 from .cr_sum import (
     MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
     _INT64_LIMIT,
-    _TEXT_BLOCK,
     _ascending_sums,
     _ascii_text,
     _check_cells,
@@ -249,12 +245,15 @@ class CorrelationReport:
         params = ",".join(f'"{key}":{_json_number(val)}' for key, val in self.params)
         head = '{"theorem":"%s","params":{%s},"records":[' % (self.theorem, params)
         record = b'{"N":%d,"lhs":%.17g,"main_term":%.17g,"ratio":%.17g}'
-        _write_rows(handle, head.encode("ascii"), record, self.records, b",", b"]}\n")
+        _write_rows(handle, head.encode("ascii"), record, self._columns(), b",", b"]}\n")
 
     def write_csv(self, handle: BinaryIO) -> None:
         """Write the records as CSV (header N,lhs,main_term,ratio), ASCII bytes."""
         head, record = b"N,lhs,main_term,ratio\n", b"%d,%.17g,%.17g,%.17g\n"
-        _write_rows(handle, head, record, self.records, b"", b"")
+        _write_rows(handle, head, record, self._columns(), b"", b"")
+
+    def _columns(self) -> list[tuple]:  # N, lhs, main_term and ratio
+        return list(zip(*self.records)) or [()]
 
     def to_json_text(self) -> str:
         return _ascii_text(self.write_json)
@@ -348,6 +347,8 @@ class LemmaCheckReport:
     """One lemma grid at one (s, h) as columns with a slot per point; points run r, then k, then N.
 
     r, k and n_limit are int columns, measured, bound and normalized float64, passed bool.
+    The writers hand the six number columns to _write_rows, with s and h
+    written into the row template once.
     """
 
     lemma_id: str
@@ -372,31 +373,26 @@ class LemmaCheckReport:
     @property
     def entries(self) -> tuple[LemmaEntry, ...]:
         """The points as LemmaEntry tuples, built on each access."""
-        points = zip(self._rows(), self.passed.tolist())
-        return tuple(LemmaEntry(*row, passed) for row, passed in points)
+        s, h = self.s, self.h
+        points = zip(*(column.tolist() for column in (*self._columns(), self.passed)))
+        return tuple(LemmaEntry(r, k, s, h, n, *rest) for r, k, n, *rest in points)
 
-    def _rows(self) -> Iterator[tuple]:
-        """(r, k, s, h, N, measured, bound, normalized) of every point as Python values.
-
-        The columns are converted _TEXT_BLOCK points at a time, so a writer
-        never holds a Python object per point of the whole grid.
-        """
-        columns = (self.r, self.k, self.n_limit, self.measured, self.bound, self.normalized)
-        for lo in range(0, len(self.r), _TEXT_BLOCK):
-            r, k, n, *floats = (column[lo : lo + _TEXT_BLOCK].tolist() for column in columns)
-            yield from zip(r, k, repeat(self.s), repeat(self.h), n, *floats)
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.r, self.k, self.n_limit, self.measured, self.bound, self.normalized)
 
     def write_json(self, handle: BinaryIO) -> None:
         """Write the report as one line of JSON, ASCII bytes, one block of points at a time."""
-        point = b'{"r":%d,"k":%d,"s":%d,"h":%d,"N":%d,"measured":%.17g,"bound":%.17g,'
+        point = b'{"r":%%d,"k":%%d,"s":%d,"h":%d,"N":%%d,"measured":%%.17g,"bound":%%.17g,'
         head = b'{"lemma":"%s","grid":[' % self.lemma_id.encode("ascii")
         tail = b'],"max_normalized":%.17g}\n' % self.max_normalized
-        _write_rows(handle, head, point + b'"normalized":%.17g}', self._rows(), b",", tail)
+        row = point % (self.s, self.h) + b'"normalized":%.17g}'
+        _write_rows(handle, head, row, self._columns(), b",", tail)
 
     def write_csv(self, handle: BinaryIO) -> None:
         """Write the points as CSV (header r,k,s,h,N,measured,bound,normalized), ASCII bytes."""
         head = b"r,k,s,h,N,measured,bound,normalized\n"
-        _write_rows(handle, head, b"%d,%d,%d,%d,%d,%.17g,%.17g,%.17g\n", self._rows(), b"", b"")
+        row = b"%%d,%%d,%d,%d,%%d,%%.17g,%%.17g,%%.17g\n" % (self.s, self.h)
+        _write_rows(handle, head, row, self._columns(), b"", b"")
 
     def to_json_text(self) -> str:
         return _ascii_text(self.write_json)
@@ -453,8 +449,9 @@ def lemma_check(
     L3: |shifted sum| <= sqrt(N) sqrt(N+h) sqrt(r**s k**s) tau_s(r**s) tau_s(k**s).
     L4: shifted sum <= 2 N Phi_s(r**s) tau(k), requiring h <= N.
 
-    Grids beyond MAX_LEMMA_POINTS, counted from the axis lengths, and grids
-    whose rows pass MAX_TABLE_CELLS are rejected before any axis is built.
+    Grids beyond MAX_LEMMA_POINTS, counted from the axis lengths, grids with
+    an r or k past it (the longest axis a grid can have) and grids whose rows
+    pass MAX_TABLE_CELLS are rejected before any axis is built.
     Then one float-range test from bit lengths (power_at_most) rejects, before
     any exact power is formed or any row sieved, an L1 bound past
     gcd(r, k)**s, an L2/L3 scale r**s k**s and an L4 bound past
@@ -465,8 +462,10 @@ def lemma_check(
     the k rows, every sum_{n<=N} c_r^s(n) c_k^s(n + h) up to N is an entry of
     A[:, 1:N+1] @ B[:, 1+h:N+h+1].T, added block by block between
     consecutive N. |c_r^s| <= J_s(r) <= r**s bounds every partial sum by
-    N r**s k**s, which picks int64 or exact Python ints. Exact bounds stay
-    ints and each float column follows the operation order of the formulas.
+    N r**s k**s, which picks int64 or exact Python ints. tau(r), L2's c_r^s(h)
+    and L4's Phi_s(r**s) = c_r^s(0) are Dirichlet-sieved columns indexed by
+    value. Exact bounds stay ints and each float column follows the operation
+    order of the formulas.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"lemma_id must be one of {LEMMA_IDS}, got {lemma_id!r}")
@@ -477,6 +476,8 @@ def lemma_check(
     skip_unit = lemma_id == "L2"
     if count == 0 or (skip_unit and max(r_values) * max(k_values) <= 1):
         raise ValueError("lemma grid is empty")
+    if max(max(r_values), max(k_values)) > MAX_LEMMA_POINTS:  # the tau column runs to it
+        raise ResourceLimitError(f"lemma grid r or k exceeds {MAX_LEMMA_POINTS}")
     r_values, k_values, n_values = tuple(r_values), tuple(k_values), tuple(n_values)
     if min(r_values) < 1 or min(k_values) < 1:
         raise ValueError("grid r and k must be >= 1")
@@ -510,11 +511,10 @@ def lemma_check(
         points = points[:, (r_axis[points[0]] > 1) | (k_axis[points[1]] > 1)]
     ri, ki, ni = points
     r, k, n = r_axis[ri], k_axis[ki], n_axis[ni]
-    r_row, k_row = np.searchsorted(values, r_axis), np.searchsorted(values, k_axis)
     # tau_s(r**s, s) = tau(r) and (r**s, k**s)_s = gcd(r, k)**s: the L1 and
     # L3 bounds never factorize r**s, which may pass the factorize limit.
-    tau = np.array([tau_s(v, 1) for v in values])
-    tau_r, tau_k = tau[r_row][ri], tau[k_row][ki]
+    tau = _dirichlet_sieve(np.ones(values[-1] + 1, dtype=np.int64), None)
+    tau_r, tau_k = tau[r], tau[k]
     if lemma_id == "L1":
         gcd_power = gcd.astype(object) ** s
         exact_bound = gcd_power[ri, ki] * n * tau_r * tau_k
@@ -522,7 +522,7 @@ def lemma_check(
     elif lemma_id in ("L2", "L3"):
         dtype = object
         if lemma_id == "L3":
-            taus = int(tau[r_row].max()) * int(tau[k_row].max())
+            taus = int(tau[r_axis].max()) * int(tau[k_axis].max())
             dtype = _l3_dtype(r_max * k_max, s, n_max, h, taus)
         rk = np.multiply.outer(r_axis.astype(dtype) ** s, k_axis.astype(dtype) ** s)
         rk_float = _float_column(rk, lemma_id, "scale r**s k**s")
@@ -536,7 +536,7 @@ def lemma_check(
             bound = np.sqrt(n) * np.sqrt(n + h) * np.sqrt(rk_float)[ri, ki] * tau_r * tau_k
 
     rows = _sieve_rows(values, n_max + h, s)
-    a, b = rows[r_row], rows[k_row]
+    a, b = rows[np.searchsorted(values, r_axis)], rows[np.searchsorted(values, k_axis)]
     # every partial sum is at most N r**s k**s; past int64 the products run on Python ints
     rk_power = power_at_most(r_max * k_max, s, (_INT64_LIMIT - 1) // n_max)
     cap = _INT64_LIMIT if rk_power is None else n_max * rk_power
@@ -554,9 +554,9 @@ def lemma_check(
         sums = abs(sums - np.where(r == k, c_h[r] * n, 0))
     elif lemma_id == "L3":
         sums = abs(sums)
-    elif lemma_id == "L4":  # the rows leave out n = 0, so Phi_s(r**s) = J_s(r) is taken per r
-        phi = np.array([jordan_totient(v, s) for v in r_values], dtype=object)
-        exact_bound = phi[ri] * 2 * n * tau_k
+    elif lemma_id == "L4":  # the rows leave out n = 0: Phi_s(r**s) = c_r^s(0) from the exact column
+        phi = _cr_column(0, s, r_max).astype(object)
+        exact_bound = phi[r] * 2 * n * tau_k
         bound = _float_column(exact_bound, lemma_id, "bound")
     measured = _float_column(sums, lemma_id, "sum")
     if lemma_id == "L2":

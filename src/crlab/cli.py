@@ -108,9 +108,9 @@ def _cmd_orthogonality(args: argparse.Namespace) -> int:
     grid = cr_sum.orthogonality_grid(args.r, args.s)
     failures = sum(value != (jordan_totient(d, args.s) if d == t else 0) for d, t, value in grid)
     # every value is an integer: _period_gram checks that r**s divides each inner sum
-    rows = ((d, t, int(value)) for d, t, value in grid)
+    columns = list(zip(*((d, t, int(value)) for d, t, value in grid)))
     with _output(args.out) as handle:
-        cr_sum._write_rows(handle, b"d,t,value\n", b"%d,%d,%d\n", rows, b"", b"")
+        cr_sum._write_rows(handle, b"d,t,value\n", b"%d,%d,%d\n", columns, b"", b"")
     pairs = len(grid)
     if failures:
         print(f"orthogonality r={args.r} s={args.s}: {failures}/{pairs} pairs FAILED", file=sys.stderr)

@@ -20,8 +20,8 @@ one word for the value, looked up in _small_words. The rare values of 1000
 or more in size (past int64 too) take a "%d" marker word there and are
 printed by Python into the tile text with one %-format. Every other file
 (lemma and correlation reports, coefficient and orthogonality CSV) is
-written by _write_rows, _TEXT_BLOCK %-formatted rows at a time. Mean values
-sum the same row blocks.
+written from its columns by _write_rows, _TEXT_BLOCK rows at a time. Mean
+values sum the same row blocks.
 Orthogonality sums are exact integer Gram matrices of period rows.
 
 No power r**s is formed past the budget it is held to: core_arith.power_at_most
@@ -35,7 +35,8 @@ Every divisor sum over a range of n is one Dirichlet convolution
 sum_{d | n} f(d) g(n/d), computed by one numpy sieve, _dirichlet_sieve: the
 float sigma rows (f = d**x, g = 1), tau(r) (f = g = 1), and the exact column
 c_r^s(n) over r at a fixed n (f = d**s on the d with d**s | n, g = mu, from
-the numpy Mobius row _mobius_row).
+the numpy Mobius row _mobius_row); lemma grids take tau(r) and
+Phi_s(r**s) = c_r^s(0) from these columns.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -308,21 +309,23 @@ def _write_csv(handle: BinaryIO, blocks: Iterable[np.ndarray], n_max: int) -> No
 
 
 def _write_rows(
-    handle: BinaryIO, head: bytes, row: bytes, rows: Iterable[tuple], sep: bytes, tail: bytes
+    handle: BinaryIO, head: bytes, row: bytes, columns: Sequence[Sequence], sep: bytes, tail: bytes
 ) -> None:
-    """Write head, row % values for each tuple of rows with sep between them, then tail.
+    """Write head, row % the values of each row of columns with sep between rows, then tail.
 
-    The rows are formatted and written _TEXT_BLOCK at a time, so a writer
-    holds one block of text however many rows there are. Every report and
-    coefficient file is written here; the table CSV has _write_csv.
+    columns are equal-length sequences, one per % field of row: numpy columns
+    (converted to Python values here), lists, tuples or ranges. They are
+    formatted _TEXT_BLOCK rows at a time, so a writer holds one block of text
+    and values however many rows there are. Every report and coefficient
+    file is written here; the table CSV has _write_csv.
     """
     handle.write(head)
-    rows = iter(rows)
-    lead = b""
-    while text := sep.join(map(row.__mod__, islice(rows, _TEXT_BLOCK))):
-        handle.write(lead)
-        handle.write(text)
-        lead = sep
+    for lo in range(0, len(columns[0]), _TEXT_BLOCK):
+        if lo:
+            handle.write(sep)
+        parts = [column[lo : lo + _TEXT_BLOCK] for column in columns]
+        values = [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
+        handle.write(sep.join(map(row.__mod__, zip(*values))))
     handle.write(tail)
 
 
@@ -642,8 +645,10 @@ def _cr_values_at_root(root_part: int, s: int, r_max: int) -> np.ndarray:
     of root_part (on every d when root_part = 0, that is n = 0), with mu. It
     is exact: int64 while _grid_dtype(r_max, s) allows it, Python ints in an
     object array otherwise. For n = m**s the root part is m itself, which
-    spares factorizing n.
+    spares factorizing n. r_max is held to MAX_TABLE_CELLS before anything is built.
     """
+    if r_max > MAX_TABLE_CELLS:
+        raise ResourceLimitError(f"exact column of {r_max} values exceeds budget {MAX_TABLE_CELLS}")
     dtype = _grid_dtype(r_max, s)
     if root_part == 0:
         f = np.arange(r_max + 1).astype(dtype) ** s

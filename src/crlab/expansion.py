@@ -13,14 +13,13 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, power_at_most, zeta
 from .cr_sum import (
-    _INT64_LIMIT, _TEXT_BLOCK, _ascending_sums, _ascii_text, _check_cells, _cr_column,
+    _INT64_LIMIT, _ascending_sums, _ascii_text, _check_cells, _cr_column,
     _cr_values_at_root, _dirichlet_sieve, _grid_dtype, _python_op, _read_only, _row_slices,
     _sieve_rows, _write_rows,
 )
@@ -212,14 +211,9 @@ def tau_weighted_norm(family: ExpansionCoefficients) -> float:
 
 
 def write_coefficients_csv(handle: BinaryIO, family: ExpansionCoefficients) -> None:
-    """Write the CSV export (header r,coefficient) as ASCII bytes, 17 significant digits.
-
-    The column is converted to Python floats _TEXT_BLOCK rows at a time, so
-    the writer never holds a Python float per coefficient of the family.
-    """
-    blocks = np.split(family.coeffs, range(_TEXT_BLOCK, family.r_max, _TEXT_BLOCK))
-    rows = enumerate(chain.from_iterable(map(np.ndarray.tolist, blocks)), 1)
-    _write_rows(handle, b"r,coefficient\n", b"%d,%.17g\n", rows, b"", b"")
+    """Write the CSV export (header r,coefficient) as ASCII bytes, 17 significant digits."""
+    columns = (range(1, family.r_max + 1), family.coeffs)
+    _write_rows(handle, b"r,coefficient\n", b"%d,%.17g\n", columns, b"", b"")
 
 
 def coefficients_to_csv_text(family: ExpansionCoefficients) -> str:

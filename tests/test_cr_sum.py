@@ -626,6 +626,16 @@ def test_cr_values_fixed_n_sieve_matches_exact(case):
     assert column.dtype == cr_sum._grid_dtype(r_max, s)
 
 
+def test_exact_column_budget(monkeypatch):
+    # an exact column over r holds r_max + 1 values; it is refused before it is built
+    with pytest.raises(ResourceLimitError, match="exact column of 1000000000 values"):
+        cr_values_fixed_n(1, 1, 10**9)
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 50)
+    assert len(cr_values_fixed_n(1, 1, 50)) == 51
+    with pytest.raises(ResourceLimitError, match="exact column of 51 values"):
+        cr_sum._cr_column(0, 1, 51)
+
+
 def test_cr_values_object_column_holds_values_past_int64():
     column = cr_sum._cr_values_at_root(0, 30, 12)
     assert column.dtype == object

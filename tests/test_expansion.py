@@ -505,6 +505,7 @@ def test_tau_weighted_norm_matches_factorized_tau_bitwise():
     empty = ExpansionCoefficients(s=1, argument_mode="plain_n", coeffs=(), provenance="x")
     assert tau_weighted_norm(empty) == 0.0
     assert shift_coefficients(empty, 9).coeffs.shape == (0,)
+    assert coefficients_to_csv_text(empty) == "r,coefficient\n"  # the header only
 
 
 def test_csv_roundtrip_preserves_bits():
