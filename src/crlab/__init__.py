@@ -35,7 +35,6 @@ _LAZY_EXPORTS = {
         "CRSumTable",
         "build_table",
         "cr_sum_exponential",
-        "cr_values_fixed_n",
         "orthogonality_grid",
         "orthogonality_value",
         "power_free_absorption_check",
@@ -45,7 +44,6 @@ _LAZY_EXPORTS = {
         "ExpansionCoefficients",
         "as_plain_n",
         "coefficients_from_csv_text",
-        "coefficients_to_csv_text",
         "evaluate",
         "is_period_exact",
         "mean_value_coefficients",
@@ -63,7 +61,6 @@ _LAZY_EXPORTS = {
         "corollary_main",
         "lemma_check",
         "run_correlation_report",
-        "sigma_power_array",
         "theorem1_main",
         "theorem2_main",
     ),

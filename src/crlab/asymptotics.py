@@ -30,7 +30,6 @@ from .cr_sum import (
     MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
     _INT64_LIMIT,
     _ascending_sums,
-    _ascii_text,
     _check_cells,
     _cr_column,
     _dirichlet_sieve,
@@ -127,15 +126,6 @@ def corollary_main(a: float, b: float, s: int, h: int) -> float:
     check_exponent(s)
     m = decompose_h(h, s).m
     return zeta(a + 1.0) * zeta(b + 1.0) / zeta(a + b + 2.0) * sigma_real(m, -(a + b + 1.0) * s)
-
-
-def sigma_power_array(limit: int, x: float) -> np.ndarray:
-    """arr[n] = sum of d**x over d | n for n <= limit (slot 0 unused).
-
-    Every n receives its addends in ascending d, the addend order of
-    sigma_real, so arr[n] == sigma_real(n, x) bit for bit.
-    """
-    return _dirichlet_sieve(_power_row(limit, x), None)
 
 
 def corollary_lhs(a: float, b: float, s: int, h: int, n_limit: int) -> float:
@@ -254,12 +244,6 @@ class CorrelationReport:
 
     def _columns(self) -> list[tuple]:  # N, lhs, main_term and ratio
         return list(zip(*self.records)) or [()]
-
-    def to_json_text(self) -> str:
-        return _ascii_text(self.write_json)
-
-    def to_csv_text(self) -> str:
-        return _ascii_text(self.write_csv)
 
 
 def _json_number(value: float | int) -> str:
@@ -393,12 +377,6 @@ class LemmaCheckReport:
         head = b"r,k,s,h,N,measured,bound,normalized\n"
         row = b"%%d,%%d,%d,%d,%%d,%%.17g,%%.17g,%%.17g\n" % (self.s, self.h)
         _write_rows(handle, head, row, self._columns(), b"", b"")
-
-    def to_json_text(self) -> str:
-        return _ascii_text(self.write_json)
-
-    def to_csv_text(self) -> str:
-        return _ascii_text(self.write_csv)
 
 
 def _float_column(exact: np.ndarray, lemma_id: str, what: str) -> np.ndarray:

@@ -289,12 +289,7 @@ def gcd_s(m: int, n: int, s: int) -> int:
     g = math.gcd(m, n)
     if g == 0:
         raise ValueError("gcd_s(0, 0, s) is undefined")
-    if s == 1:
-        return g
-    out = 1
-    for p, e in factorize(g).factors:
-        out *= p ** (s * (e // s))
-    return out
+    return g if s == 1 else decompose_h(g, s).m ** s
 
 
 def is_s_prime(m: int, n: int, s: int) -> bool:

@@ -41,7 +41,6 @@ Phi_s(r**s) = c_r^s(0) from these columns.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +56,7 @@ from .core_arith import (  # ResourceLimitError and cr_sum_exact are re-exported
     _check_r_n,
     check_exponent,
     cr_sum_exact,
+    decompose_h,
     divisors,
     factorize,
     is_power_free,
@@ -329,13 +329,6 @@ def _write_rows(
     handle.write(tail)
 
 
-def _ascii_text(write: Callable[..., None], *args: object) -> str:
-    """The text that write(handle, *args) writes, for the to_*_text exports."""
-    buffer = io.BytesIO()
-    write(buffer, *args)
-    return buffer.getvalue().decode("ascii")
-
-
 def _stream_table_csv(handle: BinaryIO, r_max: int, n_max: int, s: int) -> None:
     """Write the CSV of build_table(r_max, n_max, s) from row blocks, holding one block.
 
@@ -477,7 +470,6 @@ def _ascending_sums(terms: np.ndarray, at: int | Sequence[int]) -> np.ndarray:
     return np.cumsum(terms, axis=-1, out=terms)[..., at] + 0.0
 
 
-@lru_cache(maxsize=128)
 def s_reduced_residues(r: int, s: int) -> np.ndarray:
     """The h in 1..r**s with gcd_s(h, r**s, s) == 1, as an int64 array.
 
@@ -491,7 +483,7 @@ def s_reduced_residues(r: int, s: int) -> np.ndarray:
     mask[0] = False
     for p, _ in factorize(r).factors:
         mask[:: p**s] = False
-    return _read_only(np.nonzero(mask)[0].astype(np.int64))
+    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def cr_sum_exponential(r: int, n: int, s: int) -> complex:
@@ -611,31 +603,13 @@ def orthogonality_value(r: int, d: int, t: int, s: int) -> Fraction:
     return _period_gram(r, (d, t), s)[0][1]
 
 
-def cr_values_fixed_n(n: int, s: int, r_max: int) -> list[int]:
-    """c_r^s(n) for every r = 1..r_max at a fixed argument, exactly.
-
-    Returned list is indexed by r with slot 0 unused (0). One Dirichlet sieve
-    over r instead of per-r divisor scans; see _cr_column.
-    """
-    check_exponent(s)
-    _check_r_n(1, n)
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
-    return _cr_column(n, s, r_max).tolist()
-
-
 def _cr_column(n: int, s: int, r_max: int) -> np.ndarray:
     """c_r^s(n) for r <= r_max (slot 0 is 0) as an exact ndarray; see _cr_values_at_root.
 
-    The s-th root part of n is the largest m with m**s | n (0 for n = 0), so
-    d**s | n exactly when d | m, or for every d when n = 0.
+    The s-th root part of n is the largest m with m**s | n, decompose_h(n, s).m
+    (0 for n = 0), so d**s | n exactly when d | m, or for every d when n = 0.
     """
-    root_part = 0
-    if n:
-        root_part = 1
-        for p, e in factorize(n).factors:
-            root_part *= p ** (e // s)
-    return _cr_values_at_root(root_part, s, r_max)
+    return _cr_values_at_root(decompose_h(n, s).m if n else 0, s, r_max)
 
 
 def _cr_values_at_root(root_part: int, s: int, r_max: int) -> np.ndarray:
@@ -698,9 +672,6 @@ class CRSumTable:
     def write_csv(self, handle: BinaryIO) -> None:
         """Write the CSV (header r,n,value) as ASCII bytes, one tile per write."""
         _write_csv(handle, (self.values,), self.n_max)
-
-    def to_csv_text(self) -> str:
-        return _ascii_text(self.write_csv)
 
 
 def build_table(r_max: int, n_max: int, s: int) -> CRSumTable:

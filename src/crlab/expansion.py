@@ -19,7 +19,7 @@ import numpy as np
 
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, power_at_most, zeta
 from .cr_sum import (
-    _INT64_LIMIT, _ascending_sums, _ascii_text, _check_cells, _cr_column,
+    _INT64_LIMIT, _ascending_sums, _check_cells, _cr_column,
     _cr_values_at_root, _dirichlet_sieve, _grid_dtype, _python_op, _read_only, _row_slices,
     _sieve_rows, _write_rows,
 )
@@ -216,15 +216,10 @@ def write_coefficients_csv(handle: BinaryIO, family: ExpansionCoefficients) -> N
     _write_rows(handle, b"r,coefficient\n", b"%d,%.17g\n", columns, b"", b"")
 
 
-def coefficients_to_csv_text(family: ExpansionCoefficients) -> str:
-    """CSV export: header r,coefficient; floats at 17 significant digits."""
-    return _ascii_text(write_coefficients_csv, family)
-
-
 def coefficients_from_csv_text(
     text: str, s: int, argument_mode: str, provenance: str = "imported"
 ) -> ExpansionCoefficients:
-    """Parse the CSV produced by coefficients_to_csv_text."""
+    """Parse the CSV that write_coefficients_csv writes."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "r,coefficient":
         raise ValueError("expected header 'r,coefficient'")

@@ -2,6 +2,7 @@
 the lemma bound grids."""
 
 import functools
+import io
 import json
 import math
 import tracemalloc
@@ -25,12 +26,18 @@ from crlab.asymptotics import (
     decompose_h,
     lemma_check,
     run_correlation_report,
-    sigma_power_array,
     theorem1_main,
     theorem2_main,
 )
 from crlab.core_arith import is_power_free, jordan_totient, sigma_real, tau_s, zeta
-from crlab.cr_sum import ResourceLimitError, _ascending_sums, _power_row, build_table, cr_sum_exact
+from crlab.cr_sum import (
+    ResourceLimitError,
+    _ascending_sums,
+    _dirichlet_sieve,
+    _power_row,
+    build_table,
+    cr_sum_exact,
+)
 from crlab.expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
 
 # zeta(3)**2 / zeta(6), frozen from a 30-digit mpmath evaluation
@@ -41,6 +48,18 @@ COROLLARY_CONSTANT_H2 = 1.4646929379732306
 
 def unit_family(s: int = 1) -> ExpansionCoefficients:
     return ExpansionCoefficients(s=s, argument_mode="plain_n", coeffs=(1.0,), provenance="x")
+
+
+def sigma_row(limit: int, x: float) -> np.ndarray:
+    """sigma_x(n) for n <= limit: the sigma row that _sigma_ratio_values divides."""
+    return _dirichlet_sieve(_power_row(limit, x), None)
+
+
+def text_written(write) -> str:
+    """The ASCII text that write(handle) writes to a binary handle."""
+    buffer = io.BytesIO()
+    write(buffer)
+    return buffer.getvalue().decode("ascii")
 
 
 # --- correlation_sum ---------------------------------------------------------
@@ -223,7 +242,7 @@ def test_corollary_lhs_matches_literal_correlation():
 
 def test_sigma_power_array_matches_sigma_real_bitwise():
     for x in (2.0, -5.0, 3.7):
-        arr = sigma_power_array(200, x)
+        arr = sigma_row(200, x)
         for n in range(1, 201):
             assert arr[n] == sigma_real(n, x)
 
@@ -244,7 +263,7 @@ _SIEVE_LIMITS = st.one_of(
 @given(limit=_SIEVE_LIMITS, x=st.sampled_from((2.0, -3.5, 0.5, 1.7, 3)))
 def test_sigma_sieve_matches_sigma_real_bitwise(limit, x):
     # oracle: sigma_real sums float(d) ** x over the divisor list of n
-    arr = sigma_power_array(limit, x)
+    arr = sigma_row(limit, x)
     ratios = _sigma_ratio_values(x, limit)
     assert arr.shape == ratios.shape == (limit + 1,)
     for n in range(1, limit + 1):
@@ -284,7 +303,7 @@ def test_power_row_past_the_float_range_is_refused():
 
 def test_sigma_rows_respect_budget():
     with pytest.raises(ResourceLimitError):
-        sigma_power_array(MAX_SIGMA_LIMIT + 1, 2.0)
+        sigma_row(MAX_SIGMA_LIMIT + 1, 2.0)
     with pytest.raises(ResourceLimitError):
         _sigma_ratio_values(2.0, MAX_SIGMA_LIMIT + 1)
 
@@ -388,14 +407,14 @@ def test_run_t1_and_t2_reports():
 def test_report_serialization_roundtrip():
     config = CorrelationConfig(kind="corollary", s=1, h=2, schedule=(10, 50), a=2.0, b=2.0)
     report = run_correlation_report(config)
-    parsed = json.loads(report.to_json_text())
+    parsed = json.loads(text_written(report.write_json))
     assert parsed["theorem"] == "corollary"
     assert parsed["params"] == {"a": 2.0, "b": 2.0, "s": 1, "h": 2}
     assert len(parsed["records"]) == 2
     assert parsed["records"][0]["N"] == 10
     assert parsed["records"][1]["ratio"] == report.records[1].ratio
 
-    csv_text = report.to_csv_text()
+    csv_text = text_written(report.write_csv)
     lines = csv_text.splitlines()
     assert lines[0] == "N,lhs,main_term,ratio"
     assert len(lines) == 3
@@ -404,8 +423,8 @@ def test_report_serialization_roundtrip():
 
 def test_report_determinism():
     config = CorrelationConfig(kind="corollary", s=2, h=4, schedule=(20, 60), a=1.8, b=2.1)
-    a = run_correlation_report(config).to_json_text()
-    b = run_correlation_report(config).to_json_text()
+    a = text_written(run_correlation_report(config).write_json)
+    b = text_written(run_correlation_report(config).write_json)
     assert a == b
 
 
@@ -478,12 +497,12 @@ def test_lemma_bounds_small_grid_all_lemmas():
 
 def test_lemma_report_serialization():
     report = lemma_check("L3", (2,), (3,), 1, 1, (100,))
-    parsed = json.loads(report.to_json_text())
+    parsed = json.loads(text_written(report.write_json))
     assert parsed["lemma"] == "L3"
     assert parsed["grid"][0]["r"] == 2
     assert parsed["grid"][0]["N"] == 100
     assert parsed["max_normalized"] == report.max_normalized
-    lines = report.to_csv_text().splitlines()
+    lines = text_written(report.write_csv).splitlines()
     assert lines[0] == "r,k,s,h,N,measured,bound,normalized"
     assert len(lines) == 2
 
@@ -511,7 +530,7 @@ def test_lemma_json_writer_memory_is_one_text_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sink.size == len(report.to_json_text()) > 20 * 10**6
+    assert sink.size == len(text_written(report.write_json)) > 20 * 10**6
     block_text = sink.size * cr_sum._TEXT_BLOCK // points
     assert peak < 8 * block_text < sink.size // 8
 

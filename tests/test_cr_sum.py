@@ -26,7 +26,6 @@ from crlab.cr_sum import (
     build_table,
     cr_sum_exact,
     cr_sum_exponential,
-    cr_values_fixed_n,
     orthogonality_grid,
     orthogonality_value,
     power_free_absorption_check,
@@ -43,6 +42,13 @@ def brute_classical_ramanujan(r: int, n: int) -> int:
             total += cmath.exp(2j * cmath.pi * m * n / r)
     assert abs(total.imag) < 1e-9
     return round(total.real)
+
+
+def text_written(write) -> str:
+    """The ASCII text that write(handle) writes to a binary handle."""
+    buffer = io.BytesIO()
+    write(buffer)
+    return buffer.getvalue().decode("ascii")
 
 
 # --- exact route -------------------------------------------------------------
@@ -110,6 +116,19 @@ def test_residue_system_matches_gcd_definition():
             period = r**s
             expected = {h for h in range(1, period + 1) if gcd_s(h, period, s) == 1}
             assert set(s_reduced_residues(r, s).tolist()) == expected
+
+
+def test_exponential_route_keeps_no_residue_system():
+    # a residue system near the route limit is an int64 array of up to 10**7 entries;
+    # none may outlive the call that sieved it
+    tracemalloc.start()
+    try:
+        for r in (999983, 999979, 999961):
+            cr_sum_exponential(r, 1, 1)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 2**20
 
 
 def test_dual_route_agreement_sample():
@@ -315,7 +334,7 @@ def test_table_memory_budget():
 
 def test_table_csv_format():
     table = build_table(2, 2, 1)
-    assert table.to_csv_text() == (
+    assert text_written(table.write_csv) == (
         "r,n,value\n1,0,1\n1,1,1\n1,2,1\n2,0,1\n2,1,-1\n2,2,1\n"
     )
 
@@ -415,7 +434,7 @@ def test_write_csv_matches_text_export():
         expected = "r,n,value\n" + "".join(
             f"{r},{n},{table.value(r, n)}\n" for r in range(1, r_max + 1) for n in range(n_max + 1)
         )
-        assert buffer.getvalue() == table.to_csv_text().encode() == expected.encode()
+        assert buffer.getvalue() == expected.encode()
     assert any(v < 0 for row in build_table(12, 30, 1).values for v in row)
 
 
@@ -569,7 +588,7 @@ def test_write_csv_matches_fstring_oracle(case):
 )
 def test_table_n_labels_are_built_once_per_table(monkeypatch, r_max, n_max, tile, budget, builds):
     table = build_table(r_max, n_max, 1)
-    expected = table.to_csv_text().encode()
+    expected = text_written(table.write_csv).encode()
     monkeypatch.setattr(cr_sum, "_TILE_CELLS", tile)
     monkeypatch.setattr(cr_sum, "_BLOCK_CELLS", budget)
     leads = []
@@ -591,7 +610,7 @@ def test_table_n_labels_are_built_once_per_table(monkeypatch, r_max, n_max, tile
 def test_cr_values_fixed_n_matches_exact():
     for s in (1, 2, 3):
         for n in (0, 1, 7, 12, 36, 100):
-            values = cr_values_fixed_n(n, s, 60)
+            values = cr_sum._cr_column(n, s, 60).tolist()
             for r in range(1, 61):
                 assert values[r] == cr_sum_exact(r, n, s)
 
@@ -619,19 +638,19 @@ def fixed_n_cases(draw):
 @example((6**17 * 5, 17, 40))
 def test_cr_values_fixed_n_sieve_matches_exact(case):
     n, s, r_max = case
-    values = cr_values_fixed_n(n, s, r_max)
+    column = cr_sum._cr_column(n, s, r_max)
+    values = column.tolist()
     assert values == [0] + [cr_sum_exact(r, n, s) for r in range(1, r_max + 1)]
     assert all(type(v) is int for v in values)
-    column = cr_sum._cr_column(n, s, r_max)
     assert column.dtype == cr_sum._grid_dtype(r_max, s)
 
 
 def test_exact_column_budget(monkeypatch):
     # an exact column over r holds r_max + 1 values; it is refused before it is built
     with pytest.raises(ResourceLimitError, match="exact column of 1000000000 values"):
-        cr_values_fixed_n(1, 1, 10**9)
+        cr_sum._cr_column(1, 1, 10**9)
     monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 50)
-    assert len(cr_values_fixed_n(1, 1, 50)) == 51
+    assert len(cr_sum._cr_column(1, 1, 50)) == 51
     with pytest.raises(ResourceLimitError, match="exact column of 51 values"):
         cr_sum._cr_column(0, 1, 51)
 

@@ -1,5 +1,6 @@
 """Tests for expansion families, evaluation, mean values, and shifts."""
 
+import io
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -18,14 +19,21 @@ from crlab.expansion import (
     ExpansionCoefficients,
     as_plain_n,
     coefficients_from_csv_text,
-    coefficients_to_csv_text,
     evaluate,
     is_period_exact,
     mean_value_coefficients,
     shift_coefficients,
     sigma_expansion,
     tau_weighted_norm,
+    write_coefficients_csv,
 )
+
+
+def coefficients_csv(family: ExpansionCoefficients) -> str:
+    """The ASCII text that write_coefficients_csv writes for family."""
+    buffer = io.BytesIO()
+    write_coefficients_csv(buffer, family)
+    return buffer.getvalue().decode("ascii")
 
 
 def brute_phi(n: int) -> int:
@@ -505,12 +513,12 @@ def test_tau_weighted_norm_matches_factorized_tau_bitwise():
     empty = ExpansionCoefficients(s=1, argument_mode="plain_n", coeffs=(), provenance="x")
     assert tau_weighted_norm(empty) == 0.0
     assert shift_coefficients(empty, 9).coeffs.shape == (0,)
-    assert coefficients_to_csv_text(empty) == "r,coefficient\n"  # the header only
+    assert coefficients_csv(empty) == "r,coefficient\n"  # the header only
 
 
 def test_csv_roundtrip_preserves_bits():
     fam = sigma_expansion(2, 2, 25)
-    text = coefficients_to_csv_text(fam)
+    text = coefficients_csv(fam)
     assert text.startswith("r,coefficient\n1,")
     back = coefficients_from_csv_text(text, s=2, argument_mode="n_to_s")
     assert back.coeffs.tobytes() == fam.coeffs.tobytes()

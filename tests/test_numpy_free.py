@@ -31,19 +31,18 @@ EXPORTS = {
     ),
     "cr_sum": (
         "CRSumTable", "ResourceLimitError", "build_table", "cr_sum_exact",
-        "cr_sum_exponential", "cr_values_fixed_n", "orthogonality_grid",
-        "orthogonality_value", "power_free_absorption_check", "ramanujan_sum_oracle",
+        "cr_sum_exponential", "orthogonality_grid", "orthogonality_value",
+        "power_free_absorption_check", "ramanujan_sum_oracle",
     ),
     "expansion": (
-        "ExpansionCoefficients", "as_plain_n", "coefficients_from_csv_text",
-        "coefficients_to_csv_text", "evaluate", "is_period_exact",
-        "mean_value_coefficients", "shift_coefficients", "sigma_expansion",
-        "tau_weighted_norm",
+        "ExpansionCoefficients", "as_plain_n", "coefficients_from_csv_text", "evaluate",
+        "is_period_exact", "mean_value_coefficients", "shift_coefficients",
+        "sigma_expansion", "tau_weighted_norm",
     ),
     "asymptotics": (
         "CorrelationConfig", "CorrelationReport", "HDecomposition", "LemmaCheckReport",
         "correlation_sum", "corollary_lhs", "corollary_main", "decompose_h", "lemma_check",
-        "run_correlation_report", "sigma_power_array", "theorem1_main", "theorem2_main",
+        "run_correlation_report", "theorem1_main", "theorem2_main",
     ),
 }
 
@@ -104,3 +103,16 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError):
         crlab.no_such_name
     assert not hasattr(crlab, "numpy")
+
+
+def test_every_listed_name_resolves():
+    # a stale _LAZY_EXPORTS entry would be listed by dir() yet raise AttributeError
+    for name in dir(crlab):
+        getattr(crlab, name)
+
+
+@pytest.mark.parametrize("name", ["cr_values_fixed_n", "sigma_power_array", "coefficients_to_csv_text"])
+def test_pruned_names_are_gone(name):
+    with pytest.raises(AttributeError):
+        getattr(crlab, name)
+    assert name not in dir(crlab)
