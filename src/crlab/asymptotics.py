@@ -427,30 +427,32 @@ def lemma_check(
     L3: |shifted sum| <= sqrt(N) sqrt(N+h) sqrt(r**s k**s) tau_s(r**s) tau_s(k**s).
     L4: shifted sum <= 2 N Phi_s(r**s) tau(k), requiring h <= N.
 
-    Grids beyond MAX_LEMMA_POINTS, counted from the axis lengths, grids with
-    an r or k past it (the longest axis a grid can have) and grids whose rows
-    pass MAX_TABLE_CELLS are rejected before any axis is built.
+    Grids beyond MAX_LEMMA_POINTS, counted from the axis lengths, and grids
+    with an r or k past it (the longest axis a grid can have) are rejected
+    before any axis is built; grids whose distinct r and k values, a row of
+    max N + h cells each, pass MAX_TABLE_CELLS are rejected before any sieve.
     Then one float-range test from bit lengths (power_at_most) rejects, before
     any exact power is formed or any row sieved, an L1 bound past
     gcd(r, k)**s, an L2/L3 scale r**s k**s and an L4 bound past
     Phi_s(r**s) >= r**(s - 1) at or past 2**max_exp. The exact float
     conversions decide the cases below that: L1 and L2/L3 before sieving,
     L2's r**s k**s ln(r**s k**s) and L4's bound after.
-    One sieve holds the rows of the r and k values; with A the r rows and B
-    the k rows, every sum_{n<=N} c_r^s(n) c_k^s(n + h) up to N is an entry of
-    A[:, 1:N+1] @ B[:, 1+h:N+h+1].T, added block by block between
-    consecutive N. |c_r^s| <= J_s(r) <= r**s bounds every partial sum by
-    N r**s k**s, which picks int64 or exact Python ints. tau(r), L2's c_r^s(h)
-    and L4's Phi_s(r**s) = c_r^s(0) are Dirichlet-sieved columns indexed by
-    value. Exact bounds stay ints and each float column follows the operation
-    order of the formulas.
+    The grid is the C-order broadcast of the r, k and N axes. With A the rows
+    of the r axis up to max N and B those of the k axis up to max N + h,
+    each sum_{n<=N} c_r^s(n) c_k^s(n + h) is an entry of A[:, 1:N+1] @
+    B[:, 1+h:N+h+1].T, added block by block between consecutive N.
+    |c_r^s| <= J_s(r) <= r**s bounds every partial sum by N r**s k**s, which
+    picks int64 or exact Python ints. tau(r), L2's c_r^s(h) and L4's
+    Phi_s(r**s) = c_r^s(0) are Dirichlet-sieved columns indexed by value.
+    Exact bounds stay ints and each float column follows the operation order
+    of the formulas.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"lemma_id must be one of {LEMMA_IDS}, got {lemma_id!r}")
     count = math.prod(map(_axis_length, (r_values, k_values, n_values)))
     if count > MAX_LEMMA_POINTS:
         raise ResourceLimitError(f"lemma grid of {count} points exceeds {MAX_LEMMA_POINTS}")
-    # L2 skips r**s k**s = 1, so a grid holding only r = k = 1 is empty.
+    # L2 skips r**s k**s = 1, where its bound is 0, so a grid of only r = k = 1 is empty.
     skip_unit = lemma_id == "L2"
     if count == 0 or (skip_unit and max(r_values) * max(k_values) <= 1):
         raise ValueError("lemma grid is empty")
@@ -469,10 +471,9 @@ def lemma_check(
     if lemma_id == "L4" and h > min(n_values):
         first = next(n for n in n_values if n < h)
         raise ValueError(f"L4 requires h <= N, got h={h}, N={first}")
-    values = sorted({*r_values, *k_values})
-    _check_cells(len(values), max(n_values) + h)
     r_axis, k_axis, n_axis = np.array(r_values), np.array(k_values), np.array(n_values)
     r_max, k_max, n_max = max(r_values), max(k_values), max(n_values)
+    _check_cells(len(np.union1d(r_axis, k_axis)), n_max + h)
     if lemma_id == "L1":
         gcd = np.gcd.outer(r_axis, k_axis)
         base, power, what = int(gcd.max()), s, "bound N tau(r) tau(k) gcd(r, k)**s >="
@@ -483,38 +484,33 @@ def lemma_check(
     if power_at_most(base, power, 2**sys.float_info.max_exp - 1) is None:
         raise ResourceLimitError(f"{lemma_id} {what} {base}**{power} exceeds the float range")
 
-    # point p is (r_values[ri[p]], k_values[ki[p]], n_values[ni[p]])
-    points = np.indices((len(r_values), len(k_values), len(n_values))).reshape(3, -1)
-    if skip_unit:
-        points = points[:, (r_axis[points[0]] > 1) | (k_axis[points[1]] > 1)]
-    ri, ki, ni = points
-    r, k, n = r_axis[ri], k_axis[ki], n_axis[ni]
+    # the grid is the broadcast of its axes; C order runs r, then k, then N
+    r, k, n = r_axis[:, None, None], k_axis[None, :, None], n_axis[None, None, :]
     # tau_s(r**s, s) = tau(r) and (r**s, k**s)_s = gcd(r, k)**s: the L1 and
     # L3 bounds never factorize r**s, which may pass the factorize limit.
-    tau = _dirichlet_sieve(np.ones(values[-1] + 1, dtype=np.int64), None)
+    tau = _dirichlet_sieve(np.ones(max(r_max, k_max) + 1, dtype=np.int64), None)
     tau_r, tau_k = tau[r], tau[k]
     if lemma_id == "L1":
         gcd_power = gcd.astype(object) ** s
-        exact_bound = gcd_power[ri, ki] * n * tau_r * tau_k
+        exact_bound = gcd_power[:, :, None] * n * tau_r * tau_k
         bound = _float_column(exact_bound, lemma_id, "bound")
     elif lemma_id in ("L2", "L3"):
         dtype = object
         if lemma_id == "L3":
-            taus = int(tau[r_axis].max()) * int(tau[k_axis].max())
+            taus = int(tau_r.max()) * int(tau_k.max())
             dtype = _l3_dtype(r_max * k_max, s, n_max, h, taus)
-        rk = np.multiply.outer(r_axis.astype(dtype) ** s, k_axis.astype(dtype) ** s)
+        rk = np.multiply.outer(r_axis.astype(dtype) ** s, k_axis.astype(dtype) ** s)[:, :, None]
         rk_float = _float_column(rk, lemma_id, "scale r**s k**s")
         if lemma_id == "L2":
             logs = np.array([math.log(x) for x in rk.flat]).reshape(rk.shape)
             with np.errstate(over="ignore"):
-                bound = (rk_float * logs)[ri, ki]
+                bound = rk_float * logs
             if not np.isfinite(bound).all():
                 raise ResourceLimitError("L2 scale r**s k**s ln(r**s k**s) exceeds the float range")
         else:
-            bound = np.sqrt(n) * np.sqrt(n + h) * np.sqrt(rk_float)[ri, ki] * tau_r * tau_k
+            bound = np.sqrt(n) * np.sqrt(n + h) * np.sqrt(rk_float) * tau_r * tau_k
 
-    rows = _sieve_rows(values, n_max + h, s)
-    a, b = rows[np.searchsorted(values, r_axis)], rows[np.searchsorted(values, k_axis)]
+    a, b = _sieve_rows(r_values, n_max, s), _sieve_rows(k_values, n_max + h, s)
     # every partial sum is at most N r**s k**s; past int64 the products run on Python ints
     rk_power = power_at_most(r_max * k_max, s, (_INT64_LIMIT - 1) // n_max)
     cap = _INT64_LIMIT if rk_power is None else n_max * rk_power
@@ -525,7 +521,7 @@ def lemma_check(
         total = total + _exact_matmul(block_a, block_b.T, cap)
         blocks.append(total)
         prev = top
-    sums = np.stack(blocks, axis=-1)[ri, ki, np.searchsorted(tops, n_axis)[ni]]
+    sums = np.stack(blocks, axis=-1)[:, :, np.searchsorted(tops, n_axis)]
 
     if lemma_id == "L2":  # c_r^s(h) from the exact column; c_r^s(0) = J_s(r) <= r**s, a float here
         c_h = _cr_column(h, s, r_max).astype(object)
@@ -538,11 +534,15 @@ def lemma_check(
         bound = _float_column(exact_bound, lemma_id, "bound")
     measured = _float_column(sums, lemma_id, "sum")
     if lemma_id == "L2":
-        passed = np.ones(len(measured), dtype=bool)
+        passed = True
     elif lemma_id == "L3":  # exactly: sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2
         n_exact = n.astype(rk.dtype)
-        square = n_exact * (n_exact + h) * rk[ri, ki] * (tau_r * tau_k).astype(rk.dtype) ** 2
+        square = n_exact * (n_exact + h) * rk * (tau_r * tau_k).astype(rk.dtype) ** 2
         passed = (sums.astype(rk.dtype) ** 2 <= square).astype(bool)
     else:
         passed = sums <= exact_bound
+    keep = np.broadcast_to((r > 1) | (k > 1) if skip_unit else True, sums.shape)
+    r, k, n, measured, bound, passed = (
+        np.broadcast_to(x, sums.shape)[keep] for x in (r, k, n, measured, bound, passed)
+    )
     return LemmaCheckReport(lemma_id, s, h, r, k, n, measured, bound, measured / bound, passed)

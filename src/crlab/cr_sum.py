@@ -168,13 +168,14 @@ def _row_slices(r_values: Sequence[int], n_max: int) -> Iterator[Sequence[int]]:
 
 
 def _check_table(r_max: int, n_max: int, s: int) -> None:
-    """Validate a table's shape and hold it to MAX_TABLE_CELLS."""
+    """Validate a table's shape and hold it to MAX_TABLE_CELLS and the digit budget."""
     check_exponent(s)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     _check_cells(r_max, n_max)
+    _check_digits(r_max, s)
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +333,7 @@ def _write_rows(
 def _stream_table_csv(handle: BinaryIO, r_max: int, n_max: int, s: int) -> None:
     """Write the CSV of build_table(r_max, n_max, s) from row blocks, holding one block.
 
-    Callers run _check_table and _check_digits first, before opening handle.
+    Callers run _check_table first, before opening handle.
     """
     blocks = (_table_rows(rs, n_max, s) for rs in _row_slices(range(1, r_max + 1), n_max))
     _write_csv(handle, blocks, n_max)

@@ -554,6 +554,23 @@ def test_lemma_l3_memory_is_near_l4():
     assert _lemma_peak("L3", axis) < 1.1 * _lemma_peak("L4", axis)
 
 
+@pytest.mark.parametrize("lemma_id, h, ratio", [("L1", 0, 2.5), ("L3", 0, 2.5), ("L2", 3, 3.0)])
+def test_lemma_memory_is_near_its_report_columns(lemma_id, h, ratio):
+    # the grid is the broadcast of its axes, with no point index and no copy
+    # of the sieved rows, so a 300 x 300 grid peaks near its seven columns;
+    # a first call fills factorize's cache, which is not the call's own memory
+    axis = range(1, 301)
+    lemma_check(lemma_id, axis, axis, 1, h, (10,))
+    tracemalloc.start()
+    try:
+        report = lemma_check(lemma_id, axis, axis, 1, h, (10,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = (*report._columns(), report.passed)
+    assert peak <= ratio * sum(column.nbytes for column in columns)
+
+
 @pytest.mark.parametrize(
     "rk_max, s, n_max, h, taus, dtype",
     [
@@ -672,6 +689,21 @@ def test_lemma_grid_point_budget(monkeypatch):
     monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
     with pytest.raises(ResourceLimitError):
         lemma_check("L3", range(1, 4), range(1, 3), 1, 0, (5, 6, 7))
+
+
+def test_lemma_rows_are_held_to_the_distinct_values(monkeypatch):
+    # r = 1..6 and k = 3..8 share 3..6: the budget counts 8 distinct values,
+    # a row of N + h + 1 = 11 cells each, not the 12 rows of both axes
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 88)
+    assert lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8)).all_pass
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 87)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows sieved for an over-budget grid")
+
+    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
+    with pytest.raises(ResourceLimitError, match="table of 88 cells exceeds budget 87"):
+        lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8))
 
 
 def test_lemma_grid_values_are_held_to_the_longest_axis(monkeypatch):

@@ -364,6 +364,17 @@ def test_build_table_object_dtype_fallback():
     assert build_table(12, 0, 18).value(12, 0) == jordan_totient(12, 18) > 2**63
 
 
+@pytest.mark.parametrize("r_max, n_max, s", [(2, 1, 20000), (3, 1, 3 * 10**8)])
+def test_build_table_holds_the_digit_budget(monkeypatch, r_max, n_max, s):
+    # J_s(r) near 2**20000 or 3**(3 * 10**8) cannot be printed: refused before any row is built
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows built past the digit budget")
+
+    monkeypatch.setattr(cr_sum, "_table_rows", no_rows)
+    with pytest.raises(ResourceLimitError, match="int-to-str limit"):
+        build_table(r_max, n_max, s)
+
+
 def test_sieve_row_over_one_period_matches_exact():
     # table and period rows, column 0 = J_s(r) included; sieved rows leave column 0 at 0
     for s in (1, 2, 3):
