@@ -28,12 +28,11 @@ from .core_arith import (  # HDecomposition and decompose_h are re-exported
 )
 from .cr_sum import (
     MAX_SIGMA_LIMIT,  # the sigma-row budget, declared next to the sieve it guards
-    _INT64_LIMIT,
     _ascending_sums,
     _check_cells,
     _cr_column,
     _dirichlet_sieve,
-    _exact_matmul,
+    _int_dtype,
     _power_row,
     _python_op,
     _sieve_rows,
@@ -394,21 +393,6 @@ def _axis_length(axis: Sequence[int]) -> int:
     return len(axis)
 
 
-def _l3_dtype(rk_max: int, s: int, n_max: int, h: int, taus: int) -> type:
-    """int64 when both sides of the exact L3 test fit it, else object (Python ints).
-
-    The test is sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2. |sum| is at
-    most N (rk)**s, so its square fits while N rk_max**s <= isqrt(2**63 - 1);
-    with taus the largest tau(r) tau(k), the right side fits while
-    N (N+h) rk_max**s taus**2 < 2**63.
-    """
-    limit = min(
-        math.isqrt(_INT64_LIMIT - 1) // n_max,
-        (_INT64_LIMIT - 1) // (n_max * (n_max + h) * taus**2),
-    )
-    return np.int64 if power_at_most(rk_max, s, limit) is not None else object
-
-
 def lemma_check(
     lemma_id: str,
     r_values: Sequence[int],
@@ -441,8 +425,9 @@ def lemma_check(
     of the r axis up to max N and B those of the k axis up to max N + h,
     each sum_{n<=N} c_r^s(n) c_k^s(n + h) is an entry of A[:, 1:N+1] @
     B[:, 1+h:N+h+1].T, added block by block between consecutive N.
-    |c_r^s| <= J_s(r) <= r**s bounds every partial sum by N r**s k**s, which
-    picks int64 or exact Python ints. tau(r), L2's c_r^s(h) and L4's
+    |c_r^s| <= J_s(r) <= r**s bounds every partial sum by N r**s k**s; from
+    such bounds each exact column and product picks int64 or Python ints
+    (cr_sum._int_dtype). tau(r), L2's c_r^s(h) and L4's
     Phi_s(r**s) = c_r^s(0) are Dirichlet-sieved columns indexed by value.
     Exact bounds stay ints and each float column follows the operation order
     of the formulas.
@@ -458,7 +443,6 @@ def lemma_check(
         raise ValueError("lemma grid is empty")
     if max(max(r_values), max(k_values)) > MAX_LEMMA_POINTS:  # the tau column runs to it
         raise ResourceLimitError(f"lemma grid r or k exceeds {MAX_LEMMA_POINTS}")
-    r_values, k_values, n_values = tuple(r_values), tuple(k_values), tuple(n_values)
     if min(r_values) < 1 or min(k_values) < 1:
         raise ValueError("grid r and k must be >= 1")
     check_exponent(s)
@@ -490,19 +474,23 @@ def lemma_check(
     # L3 bounds never factorize r**s, which may pass the factorize limit.
     tau = _dirichlet_sieve(np.ones(max(r_max, k_max) + 1, dtype=np.int64), None)
     tau_r, tau_k = tau[r], tau[k]
-    if lemma_id == "L1":
-        gcd_power = gcd.astype(object) ** s
+    taus = int(tau_r.max()) * int(tau_k.max())
+    if lemma_id == "L1":  # the bound is at most gcd(r, k)**s N tau(r) tau(k)
+        gcd_power = gcd.astype(_int_dtype(base, s, n_max * taus)) ** s
         exact_bound = gcd_power[:, :, None] * n * tau_r * tau_k
         bound = _float_column(exact_bound, lemma_id, "bound")
     elif lemma_id in ("L2", "L3"):
-        dtype = object
-        if lemma_id == "L3":
-            taus = int(tau_r.max()) * int(tau_k.max())
-            dtype = _l3_dtype(r_max * k_max, s, n_max, h, taus)
+        if lemma_id == "L2":  # |sum - N c_r^s(h)| <= 2 N r**s k**s
+            dtype = _int_dtype(r_max * k_max, s, 2 * n_max)
+        else:  # sum**2 <= (N r**s k**s)**2 and the right side; object if either passes int64
+            dtype = np.result_type(
+                _int_dtype(r_max * k_max, 2 * s, n_max**2),
+                _int_dtype(r_max * k_max, s, n_max * (n_max + h) * taus**2),
+            )
         rk = np.multiply.outer(r_axis.astype(dtype) ** s, k_axis.astype(dtype) ** s)[:, :, None]
         rk_float = _float_column(rk, lemma_id, "scale r**s k**s")
         if lemma_id == "L2":
-            logs = np.array([math.log(x) for x in rk.flat]).reshape(rk.shape)
+            logs = np.array([math.log(x) for x in rk.ravel().tolist()]).reshape(rk.shape)
             with np.errstate(over="ignore"):
                 bound = rk_float * logs
             if not np.isfinite(bound).all():
@@ -512,24 +500,27 @@ def lemma_check(
 
     a, b = _sieve_rows(r_values, n_max, s), _sieve_rows(k_values, n_max + h, s)
     # every partial sum is at most N r**s k**s; past int64 the products run on Python ints
-    rk_power = power_at_most(r_max * k_max, s, (_INT64_LIMIT - 1) // n_max)
-    cap = _INT64_LIMIT if rk_power is None else n_max * rk_power
+    sum_dtype = _int_dtype(r_max * k_max, s, n_max)
     tops = sorted(set(n_values))
     blocks, total, prev = [], 0, 0
     for top in tops:
         block_a, block_b = a[:, prev + 1 : top + 1], b[:, prev + 1 + h : top + h + 1]
-        total = total + _exact_matmul(block_a, block_b.T, cap)
+        total = total + (
+            block_a.astype(sum_dtype, copy=False) @ block_b.T.astype(sum_dtype, copy=False)
+        )
         blocks.append(total)
         prev = top
     sums = np.stack(blocks, axis=-1)[:, :, np.searchsorted(tops, n_axis)]
 
     if lemma_id == "L2":  # c_r^s(h) from the exact column; c_r^s(0) = J_s(r) <= r**s, a float here
-        c_h = _cr_column(h, s, r_max).astype(object)
+        c_h = _cr_column(h, s, r_max).astype(dtype, copy=False)
         sums = abs(sums - np.where(r == k, c_h[r] * n, 0))
     elif lemma_id == "L3":
         sums = abs(sums)
     elif lemma_id == "L4":  # the rows leave out n = 0: Phi_s(r**s) = c_r^s(0) from the exact column
-        phi = _cr_column(0, s, r_max).astype(object)
+        # Phi_s(r**s) <= r**s, so the bound is at most 2 N r**s tau(k)
+        phi_dtype = _int_dtype(r_max, s, 2 * n_max * int(tau_k.max()))
+        phi = _cr_column(0, s, r_max).astype(phi_dtype, copy=False)
         exact_bound = phi[r] * 2 * n * tau_k
         bound = _float_column(exact_bound, lemma_id, "bound")
     measured = _float_column(sums, lemma_id, "sum")

@@ -26,7 +26,8 @@ Orthogonality sums are exact integer Gram matrices of period rows.
 
 No power r**s is formed past the budget it is held to: core_arith.power_at_most
 decides r**s <= bound from bit lengths first. It picks int64 or object
-exact columns (_grid_dtype), holds the exponential and orthogonality
+for every exact column and matrix product (_int_dtype, from a bound written
+where the column is built), holds the exponential and orthogonality
 periods to EXPONENTIAL_ROUTE_LIMIT (_check_period), and lets the row sieve
 skip every stride d**s past n_max, so a huge s costs no more than a small
 one there.
@@ -86,19 +87,21 @@ _TEXT_BLOCK = 2**12
 # a = 1.75, b = 2.5 takes about 7 s there (2-core x86-64 VM).
 MAX_SIGMA_LIMIT = 20_000_000
 
-# int64 matrix products are used while every partial sum stays below this.
+# Exact columns and matrix products are int64 while every value stays below this.
 _INT64_LIMIT = 2**63
 
 
-def _grid_dtype(r_max: int, s: int) -> type:
-    """int64 when every c_r^s value and partial sum for r <= r_max fits, else object.
+def _int_dtype(base: int, s: int, factor: int = 1) -> type:
+    """int64 when s < 63 and factor * base**s < 2**63, else object (Python ints).
 
-    A row's partial sums are bounded by sigma_s(r) <= r**s * (1 + ln r), and
-    ln r < r.bit_length(), so int64 holds them while r_max**s is at most
-    (2**63 - 1) // (r_max.bit_length() + 1).
+    Every exact column and matrix product takes its dtype here, with factor *
+    base**s a bound on its values (and partial sums) written at the call site.
+    power_at_most decides from bit lengths, so a huge s costs nothing; s < 63
+    keeps base**s an exponent numpy's int64 ** takes (base <= 1 passes the
+    bound at any s).
     """
-    fits = power_at_most(r_max, s, (_INT64_LIMIT - 1) // (r_max.bit_length() + 1))
-    return np.int64 if fits is not None else object
+    fits = s < 63 and power_at_most(base, s, (_INT64_LIMIT - 1) // factor) is not None
+    return np.int64 if fits else object
 
 
 def _mobius_terms(r: int) -> list[tuple[int, int]]:
@@ -339,17 +342,6 @@ def _stream_table_csv(handle: BinaryIO, r_max: int, n_max: int, s: int) -> None:
     _write_csv(handle, blocks, n_max)
 
 
-def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """a @ b in exact integers, given that bound caps every |partial sum|.
-
-    int64 matmul wraps silently, so past _INT64_LIMIT both operands become
-    object arrays and numpy multiplies and adds Python ints.
-    """
-    if bound >= _INT64_LIMIT:
-        a, b = a.astype(object), b.astype(object)
-    return a @ b
-
-
 def _read_only(values: np.ndarray) -> np.ndarray:
     """A read-only view of values, so values itself keeps its flags."""
     view = values.view()
@@ -557,10 +549,10 @@ def _period_gram(r: int, divs: Sequence[int], s: int) -> list[list[Fraction]]:
     m = 0. Every inner sum is checked for exact divisibility by r**s.
     """
     period = _check_period(r, s)
-    rows = _table_rows(divs, period - 1, s)
     # Over a full period sum_m c_d^s(m)**2 = r**s J_s(d) <= r**(2s), so by
     # Cauchy-Schwarz every partial sum of c_d^s(m) c_t^s(m) is at most r**(2s).
-    gram = _exact_matmul(rows, rows.T, period**2).tolist()
+    rows = _table_rows(divs, period - 1, s).astype(_int_dtype(r, 2 * s), copy=False)
+    gram = (rows @ rows.T).tolist()
     for d, sums in zip(divs, gram):
         for t, total in zip(divs, sums):
             if total % period != 0:
@@ -618,13 +610,14 @@ def _cr_values_at_root(root_part: int, s: int, r_max: int) -> np.ndarray:
 
     The column is the Dirichlet convolution of f(d) = d**s, on the divisors d
     of root_part (on every d when root_part = 0, that is n = 0), with mu. It
-    is exact: int64 while _grid_dtype(r_max, s) allows it, Python ints in an
-    object array otherwise. For n = m**s the root part is m itself, which
-    spares factorizing n. r_max is held to MAX_TABLE_CELLS before anything is built.
+    is exact: int64 while its partial sums fit, Python ints in an object array
+    otherwise. They are at most sigma_s(r) <= r**s (1 + ln r), and ln r <
+    r.bit_length(). For n = m**s the root part is m itself, which spares
+    factorizing n. r_max is held to MAX_TABLE_CELLS before anything is built.
     """
     if r_max > MAX_TABLE_CELLS:
         raise ResourceLimitError(f"exact column of {r_max} values exceeds budget {MAX_TABLE_CELLS}")
-    dtype = _grid_dtype(r_max, s)
+    dtype = _int_dtype(r_max, s, r_max.bit_length() + 1)
     if root_part == 0:
         f = np.arange(r_max + 1).astype(dtype) ** s
     else:

@@ -19,9 +19,8 @@ import numpy as np
 
 from .core_arith import ResourceLimitError, check_exponent, jordan_totient, power_at_most, zeta
 from .cr_sum import (
-    _INT64_LIMIT, _ascending_sums, _check_cells, _cr_column,
-    _cr_values_at_root, _dirichlet_sieve, _grid_dtype, _python_op, _read_only, _row_slices,
-    _sieve_rows, _write_rows,
+    _ascending_sums, _check_cells, _cr_column, _cr_values_at_root, _dirichlet_sieve,
+    _int_dtype, _python_op, _read_only, _row_slices, _sieve_rows, _write_rows,
 )
 
 PLAIN_N = "plain_n"
@@ -82,9 +81,7 @@ def sigma_expansion(k: int, s: int, r_max: int) -> ExpansionCoefficients:
     # z < 2, so z / r**exp rounds to 0.0 once r**exp >= 2**1076; those r**exp,
     # which may be huge, are never formed.
     nonzero = min(r_max, 2 ** -(-1076 // exp) - 1)
-    # int64 powers need exp < 63, an exponent numpy's ** takes; else Python ints
-    fits = exp < 63 and power_at_most(nonzero, exp, _INT64_LIMIT - 1) is not None
-    powers = np.arange(1, nonzero + 1, dtype=np.int64 if fits else object) ** exp
+    powers = np.arange(1, nonzero + 1, dtype=_int_dtype(nonzero, exp)) ** exp
     coeffs = np.pad(_python_op(operator.truediv, z, powers), (0, r_max - nonzero))
     return ExpansionCoefficients(
         s=s, argument_mode=N_TO_S, coeffs=coeffs, provenance=f"closed_form_sigma(k={k})"
@@ -166,7 +163,7 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     underflow = 2 ** (info.max_exp - info.min_exp + info.mant_dig + 1) - 1
     kept = np.fromiter((power_at_most(r, s - 1, underflow) is not None for r in r_values), bool)
     phis = (jordan_totient(r, s) if keep else 1 for r, keep in zip(r_values, kept))
-    phi = np.fromiter(phis, _grid_dtype(max(r_values, default=1), s))
+    phi = np.fromiter(phis, _int_dtype(max(r_values, default=1), s))  # J_s(r) <= r**s
     # + 0.0 turns an underflowed -0.0 into 0.0
     return _read_only(np.where(kept, _python_op(operator.truediv, means, phi), 0.0) + 0.0)
 

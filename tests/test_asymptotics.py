@@ -535,30 +535,14 @@ def test_lemma_json_writer_memory_is_one_text_block():
     assert peak < 8 * block_text < sink.size // 8
 
 
-def _lemma_peak(lemma_id: str, axis: range) -> int:
-    """tracemalloc peak bytes of one lemma_check over axis x axis at s = 1, N = 10."""
-    tracemalloc.start()
-    try:
-        lemma_check(lemma_id, axis, axis, 1, 0, (10,))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def test_lemma_l3_memory_is_near_l4():
-    # L3 decides sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2 in int64 when
-    # both sides fit, so it holds no Python int per point: a 300 x 300 grid
-    # peaks near L4 (13.6 MiB), not at the 22 MiB of object columns
-    axis = range(1, 301)
-    assert _lemma_peak("L3", axis) < 1.1 * _lemma_peak("L4", axis)
-
-
-@pytest.mark.parametrize("lemma_id, h, ratio", [("L1", 0, 2.5), ("L3", 0, 2.5), ("L2", 3, 3.0)])
-def test_lemma_memory_is_near_its_report_columns(lemma_id, h, ratio):
+@pytest.mark.parametrize("lemma_id, h", [("L1", 0), ("L2", 3), ("L3", 0), ("L4", 0)])
+def test_lemma_memory_is_near_its_report_columns(lemma_id, h):
     # the grid is the broadcast of its axes, with no point index and no copy
-    # of the sieved rows, so a 300 x 300 grid peaks near its seven columns;
-    # a first call fills factorize's cache, which is not the call's own memory
+    # of the sieved rows, and every exact column (the sums, L1's gcd(r, k)**s,
+    # L2's r**s k**s and c_r^s(h), L3's exact test, L4's Phi_s(r**s)) is int64
+    # where its bound fits, not a Python int per point, so a 300 x 300 grid
+    # peaks near its seven columns; a first call fills factorize's cache,
+    # which is not the call's own memory
     axis = range(1, 301)
     lemma_check(lemma_id, axis, axis, 1, h, (10,))
     tracemalloc.start()
@@ -568,24 +552,7 @@ def test_lemma_memory_is_near_its_report_columns(lemma_id, h, ratio):
     finally:
         tracemalloc.stop()
     columns = (*report._columns(), report.passed)
-    assert peak <= ratio * sum(column.nbytes for column in columns)
-
-
-@pytest.mark.parametrize(
-    "rk_max, s, n_max, h, taus, dtype",
-    [
-        (3037000499, 1, 1, 0, 1, np.int64),  # N rk**s = isqrt(2**63 - 1): sum**2 fits
-        (3037000500, 1, 1, 0, 1, object),
-        (2, 30, 1, 0, 4, np.int64),  # 2**30 by bit lengths
-        (2, 32, 1, 0, 4, object),
-        (922337203, 1, 1, 0, 10**5, np.int64),  # the bound N (N+h) rk**s taus**2 at 2**63 - 1
-        (922337204, 1, 1, 0, 10**5, object),
-        (3037, 1, 10**6, 0, 4, np.int64),
-        (3038, 1, 10**6, 0, 4, object),
-    ],
-)
-def test_l3_dtype_edges(rk_max, s, n_max, h, taus, dtype):
-    assert asymptotics._l3_dtype(rk_max, s, n_max, h, taus) is dtype
+    assert peak <= 2.2 * sum(column.nbytes for column in columns)
 
 
 def _exact_product_sum(r: int, k: int, s: int, h: int, n_limit: int) -> int:
@@ -663,20 +630,26 @@ def test_lemma_measured_repeated_unsorted_points():
 
 def test_lemma_sums_fall_back_to_python_ints_past_int64(monkeypatch):
     # N * 30**5 * 30**5 > 2**63 although every c value fits the int64 grid
-    calls = []
-    exact_matmul = asymptotics._exact_matmul
+    dtypes = []
+    int_dtype = asymptotics._int_dtype
 
-    def spy(a, b, bound):
-        product = exact_matmul(a, b, bound)
-        calls.append((a.dtype, b.dtype, bound, product.dtype))
-        return product
+    def spy(*args):
+        dtypes.append(int_dtype(*args))
+        return dtypes[-1]
 
-    monkeypatch.setattr(asymptotics, "_exact_matmul", spy)
+    monkeypatch.setattr(asymptotics, "_int_dtype", spy)
     # the largest r, k and N come last, so a bound taken from the first ones fails
     _assert_measured_matches_oracle("L3", (28, 30), (29, 30), 5, 1, (7, 20_000))
-    assert calls
-    for a, b, bound, product in calls:
-        assert a == b == np.int64 and bound >= 2**63 and product == object
+    assert dtypes and all(dtype is object for dtype in dtypes)
+
+
+@pytest.mark.parametrize("lemma_id, k_max, h", [("L1", 3, 0), ("L3", 1, 0), ("L4", 3, 2)])
+def test_lemma_at_r_1_takes_an_exponent_past_int64(lemma_id, k_max, h):
+    # numpy's int64 ** takes no exponent of 2**63 or more; at r = 1 every
+    # bound stays small, so the grid is checked, not refused
+    k_values = range(1, k_max + 1)
+    _assert_measured_matches_oracle(lemma_id, (1,), k_values, 2**63, h, (10,))
+    assert lemma_check(lemma_id, (1,), k_values, 2**63, h, (10,)).all_pass
 
 
 def test_lemma_grid_point_budget(monkeypatch):

@@ -22,7 +22,7 @@ from crlab.cr_sum import (
     EXPONENTIAL_ROUTE_LIMIT,
     CRSumTable,
     ResourceLimitError,
-    _grid_dtype,
+    _int_dtype,
     build_table,
     cr_sum_exact,
     cr_sum_exponential,
@@ -214,36 +214,61 @@ def test_orthogonality_grid_matches_pairs_and_sympy():
                 assert value == orthogonality_value(r, d, t, s)
 
 
+def _spy_int_dtype(monkeypatch) -> list:
+    """Record each dtype that cr_sum._int_dtype returns."""
+    dtypes = []
+    int_dtype = cr_sum._int_dtype
+
+    def spy(*args):
+        dtypes.append(int_dtype(*args))
+        return dtypes[-1]
+
+    monkeypatch.setattr(cr_sum, "_int_dtype", spy)
+    return dtypes
+
+
 def test_orthogonality_object_dtype_path(monkeypatch):
     expected = orthogonality_grid(12, 2)
-    products = []
-    exact_matmul = cr_sum._exact_matmul
-
-    def spy(a, b, bound):
-        products.append(exact_matmul(a, b, bound))
-        return products[-1]
-
     monkeypatch.setattr(cr_sum, "_INT64_LIMIT", 1)
-    monkeypatch.setattr(cr_sum, "_exact_matmul", spy)
+    dtypes = _spy_int_dtype(monkeypatch)
     assert orthogonality_grid(12, 2) == expected
     assert orthogonality_value(12, 4, 4, 2) == jordan_totient(4, 2)
-    assert products and all(p.dtype == object for p in products)
-    assert all(type(v) is int for p in products for v in p.flat)
+    assert dtypes and all(dtype is object for dtype in dtypes)
 
 
 def test_orthogonality_multiplies_in_int64_below_the_cauchy_schwarz_bound(monkeypatch):
     # 144**6 < 2**63 <= 144**9: partial sums are capped at r**(2s), not r**(3s)
-    dtypes = []
-    exact_matmul = cr_sum._exact_matmul
-
-    def spy(a, b, bound):
-        product = exact_matmul(a, b, bound)
-        dtypes.append((a.dtype, b.dtype, product.dtype))
-        return product
-
-    monkeypatch.setattr(cr_sum, "_exact_matmul", spy)
+    dtypes = _spy_int_dtype(monkeypatch)
     assert orthogonality_value(144, 72, 72, 3) == jordan_totient(72, 3) == 314496
-    assert dtypes == [(np.int64, np.int64, np.int64)]
+    assert dtypes == [np.int64]
+
+
+@pytest.mark.parametrize(
+    "base, s, factor, dtype",
+    [
+        (11, 17, 5, np.int64),  # exact columns at s = 17: 11**17 * 5 < 2**63 <= 12**17 * 5
+        (12, 17, 5, object),
+        (144, 6, 1, np.int64),  # the orthogonality Gram at r = 144, s = 3: r**(2s) = 144**6
+        (144, 9, 1, object),
+        (3037000499, 2, 1, np.int64),  # L3's sum**2 <= (N rk**s)**2; 3037000499 = isqrt(2**63 - 1)
+        (3037000500, 2, 1, object),
+        (2, 60, 1, np.int64),
+        (2, 64, 1, object),
+        (3037, 2, 10**12, np.int64),  # the same at N = 10**6
+        (3038, 2, 10**12, object),
+        (922337203, 1, 10**10, np.int64),  # L3's N (N+h) rk**s taus**2 at taus = 10**5
+        (922337204, 1, 10**10, object),
+        (2, 62, 1, np.int64),  # 2**62 < 2**63
+        (2, 62, 2, object),  # 2 * 2**62 = 2**63
+        (1, 1, 2**63 - 1, np.int64),
+        (1, 1, 2**63, object),
+        (1, 62, 1, np.int64),
+        (1, 63, 1, object),  # numpy's int64 ** takes no exponent of 2**63 or more
+        (1, 2**63, 1, object),
+    ],
+)
+def test_int_dtype_edges(base, s, factor, dtype):
+    assert _int_dtype(base, s, factor) is dtype
 
 
 def test_orthogonality_rejects_indivisible_sums(monkeypatch):
@@ -352,9 +377,7 @@ def test_build_table_matches_exact(r_max, n_max, s):
 
 
 def test_build_table_object_dtype_fallback():
-    # 11**17 * 5 < 2**63 <= 12**17 * 5: the two shapes straddle the int64 bound.
-    assert _grid_dtype(11, 17) is np.int64
-    assert _grid_dtype(12, 17) is object
+    # tables on both sides of the exact-column int64 edge at s = 17 (test_int_dtype_edges)
     for r_max in (11, 12):
         table = build_table(r_max, 40, 17)
         for r in range(1, r_max + 1):
@@ -405,7 +428,7 @@ def test_sieve_rows_without_column_zero_are_int64():
     # so sieved rows stay int64 where a table over the same r and s is object
     assert cr_sum._sieve_rows((2,), 100, 62).dtype == np.int64
     r_values, n_max, s = (210, 2**16, 10**5, 1), 2500, 4
-    assert _grid_dtype(max(r_values), s) is object
+    assert _int_dtype(max(r_values), s) is object
     rows = cr_sum._sieve_rows(r_values, n_max, s)
     assert rows.dtype == np.int64
     for r, row in zip(r_values, rows.tolist()):
@@ -653,7 +676,7 @@ def test_cr_values_fixed_n_sieve_matches_exact(case):
     values = column.tolist()
     assert values == [0] + [cr_sum_exact(r, n, s) for r in range(1, r_max + 1)]
     assert all(type(v) is int for v in values)
-    assert column.dtype == cr_sum._grid_dtype(r_max, s)
+    assert column.dtype == _int_dtype(r_max, s, r_max.bit_length() + 1)
 
 
 def test_exact_column_budget(monkeypatch):

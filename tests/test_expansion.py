@@ -372,8 +372,8 @@ def test_mean_value_coefficients_match_loop_oracle(case):
 
 
 def test_mean_value_object_grid_matches_loop_oracle():
-    # 30**13 * 5 >= 2**63, so the c-rows are Python ints in an object grid
-    assert cr_sum._grid_dtype(30, 13) is object
+    # J_13(r) <= 30**13, which passes 2**63, so the J_s(r) divisors are Python ints
+    assert cr_sum._int_dtype(30, 13) is object
     f_values = [0.0] + [(-1.0) ** n * n / 7 for n in range(1, 301)]
     r_values = (30, 2, 29, 1)
     got = mean_value_coefficients(np.array(f_values), r_values, 13)
