@@ -495,8 +495,11 @@ def lemma_check(
                 bound = rk_float * logs
             if not np.isfinite(bound).all():
                 raise ResourceLimitError("L2 scale r**s k**s ln(r**s k**s) exceeds the float range")
-        else:
+        else:  # L3's float bound and the right side of its exact test
             bound = np.sqrt(n) * np.sqrt(n + h) * np.sqrt(rk_float) * tau_r * tau_k
+            n_exact = n.astype(dtype)
+            square = n_exact * (n_exact + h) * rk * (tau_r * tau_k).astype(dtype) ** 2
+        del rk, rk_float  # else both stay bound through the sums and the report columns
 
     a, b = _sieve_rows(r_values, n_max, s), _sieve_rows(k_values, n_max + h, s)
     # every partial sum is at most N r**s k**s; past int64 the products run on Python ints
@@ -527,9 +530,7 @@ def lemma_check(
     if lemma_id == "L2":
         passed = True
     elif lemma_id == "L3":  # exactly: sum**2 <= N (N+h) r**s k**s tau(r)**2 tau(k)**2
-        n_exact = n.astype(rk.dtype)
-        square = n_exact * (n_exact + h) * rk * (tau_r * tau_k).astype(rk.dtype) ** 2
-        passed = (sums.astype(rk.dtype) ** 2 <= square).astype(bool)
+        passed = (sums.astype(dtype) ** 2 <= square).astype(bool)
     else:
         passed = sums <= exact_bound
     keep = np.broadcast_to((r > 1) | (k > 1) if skip_unit else True, sums.shape)
