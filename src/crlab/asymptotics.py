@@ -413,8 +413,8 @@ def lemma_check(
 
     Grids beyond MAX_LEMMA_POINTS, counted from the axis lengths, and grids
     with an r or k past it (the longest axis a grid can have) are rejected
-    before any axis is built; grids whose distinct r and k values, a row of
-    max N + h cells each, pass MAX_TABLE_CELLS are rejected before any sieve.
+    before any axis is built; grids whose sieved rows (max N + h + 1 cells
+    per r and k axis entry) pass MAX_TABLE_CELLS are rejected before any sieve.
     Then one float-range test from bit lengths (power_at_most) rejects, before
     any exact power is formed or any row sieved, an L1 bound past
     gcd(r, k)**s, an L2/L3 scale r**s k**s and an L4 bound past
@@ -457,7 +457,7 @@ def lemma_check(
         raise ValueError(f"L4 requires h <= N, got h={h}, N={first}")
     r_axis, k_axis, n_axis = np.array(r_values), np.array(k_values), np.array(n_values)
     r_max, k_max, n_max = max(r_values), max(k_values), max(n_values)
-    _check_cells(len(np.union1d(r_axis, k_axis)), n_max + h)
+    _check_cells(len(r_axis) + len(k_axis), n_max + h)
     if lemma_id == "L1":
         gcd = np.gcd.outer(r_axis, k_axis)
         base, power, what = int(gcd.max()), s, "bound N tau(r) tau(k) gcd(r, k)**s >="

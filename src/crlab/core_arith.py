@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 # Declared domain bound for factorize(). The Miller-Rabin bases below are
 # proven for every n below 3.18e23, far past this bound.
@@ -157,7 +156,6 @@ def _large_prime_factors(n: int) -> list[int]:
     return _large_prime_factors(d) + _large_prime_factors(n // d)
 
 
-@lru_cache(maxsize=65536)
 def factorize(n: int) -> Factorization:
     """Factor n exactly: trial division (2, 3, then 6k+-1) up to
     _TRIAL_LIMIT, then Miller-Rabin and Pollard-Brent rho on a cofactor

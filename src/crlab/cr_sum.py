@@ -6,10 +6,10 @@ route evaluates the defining exponential sum over an s-reduced residue
 system mod r**s in floating point. Every sieved row (batch tables, lemma
 rows, period rows and mean-value rows) comes from one row sieve, _sieve_rows:
 the terms (d, mu(r/d)) of each row are generated from factorize(r) and added
-along the strides d**s. Sieved rows cover n >= 1 only and are always int64;
-column 0, c_r^s(0) = J_s(r), is the one value that needs r**s, and tables and
-period rows (_table_rows) fill it from jordan_totient. Tables are read-only
-int64 (or object) grids; the
+along the strides d**s; no per-r state outlives its row. Sieved rows cover
+n >= 1 only and are int64; tables fill column 0, J_s(r), from jordan_totient
+(_table_rows), and period rows run to n = r**s, where c_d^s(r**s) = J_s(d).
+Tables are read-only int64 (or object) grids; the
 `table` command sieves row blocks of about _BLOCK_CELLS cells and writes each
 block straight to CSV, so it holds one block and no per-cell Python int,
 however large the table is. The CSV text of every block, int64 or object, is
@@ -139,7 +139,7 @@ def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
     grid = np.zeros((len(r_values), n_max + 1), dtype=np.int64)
     for i, r in enumerate(r_values):
         for d, m in _mobius_terms(r):
-            ds = power_at_most(d, s, n_max)
+            ds = power_at_most(d, s, n_max) if d <= n_max else None  # d**s >= d
             if ds is not None:
                 grid[i, ds::ds] += m * ds
     return grid
@@ -149,14 +149,12 @@ def _table_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
     """c_r^s(n) for 0 <= n <= n_max: _sieve_rows with column 0 set to J_s(r).
 
     Column 0 is the only one that can pass int64 (the sieved values are at
-    most sigma(n)), so it is built first and the grid becomes Python ints in
-    an object array only when some J_s(r) >= 2**63.
+    most sigma(n)); J_s(r) <= r**s, so the grid takes its dtype from
+    _int_dtype(max r, s) and is Python ints in an object array only past it.
     """
-    column = [jordan_totient(r, s) for r in r_values]
-    rows = _sieve_rows(r_values, n_max, s)
-    if max(column, default=0) >= _INT64_LIMIT:
-        rows = rows.astype(object)
-    rows[:, 0] = column
+    dtype = _int_dtype(max(r_values), s)
+    rows = _sieve_rows(r_values, n_max, s).astype(dtype, copy=False)
+    rows[:, 0] = np.fromiter((jordan_totient(r, s) for r in r_values), dtype, len(r_values))
     return rows
 
 
@@ -544,14 +542,14 @@ def _check_period(r: int, s: int) -> int:
 def _period_gram(r: int, divs: Sequence[int], s: int) -> list[list[Fraction]]:
     """(1/r**s) * sum_{m=1}^{r**s} c_d^s(m) c_t^s(m) for every d, t in divs (each d | r).
 
-    The rows c_d^s(m), m = 0 .. r**s - 1, come from one stride sieve and the
-    inner sums are their Gram matrix; by periodicity m = r**s stands in for
-    m = 0. Every inner sum is checked for exact divisibility by r**s.
+    The rows c_d^s(m), m = 0 .. r**s, come from one row sieve (column 0 is 0,
+    and c_d^s(r**s) = J_s(d) is sieved), and the inner sums are their Gram
+    matrix. Every inner sum is checked for exact divisibility by r**s.
     """
     period = _check_period(r, s)
     # Over a full period sum_m c_d^s(m)**2 = r**s J_s(d) <= r**(2s), so by
     # Cauchy-Schwarz every partial sum of c_d^s(m) c_t^s(m) is at most r**(2s).
-    rows = _table_rows(divs, period - 1, s).astype(_int_dtype(r, 2 * s), copy=False)
+    rows = _sieve_rows(divs, period, s).astype(_int_dtype(r, 2 * s), copy=False)
     gram = (rows @ rows.T).tolist()
     for d, sums in zip(divs, gram):
         for t, total in zip(divs, sums):
@@ -567,8 +565,8 @@ def orthogonality_grid(r: int, s: int) -> list[tuple[int, int, Fraction]]:
     """(d, t, orthogonality_value(r, d, t, s)) for all divisors d, t of r, d-major.
 
     One sieve of the tau(r) period rows and one Gram matrix, so the grid
-    holds tau(r) * r**s cells and is limited to MAX_TABLE_CELLS as well as
-    r**s <= EXPONENTIAL_ROUTE_LIMIT.
+    holds tau(r) * (r**s + 1) cells and is limited to MAX_TABLE_CELLS as well
+    as r**s <= EXPONENTIAL_ROUTE_LIMIT.
     """
     check_exponent(s)
     _check_r_n(r, 0)

@@ -565,10 +565,8 @@ def test_lemma_memory_is_near_its_report_columns(lemma_id, h, ratio):
     # of the sieved rows, and every exact column (the sums, L1's gcd(r, k)**s,
     # L2's r**s k**s and c_r^s(h), L3's exact test, L4's Phi_s(r**s)) is int64
     # where its bound fits, not a Python int per point, so a 300 x 300 grid
-    # peaks near its seven columns; a first call fills factorize's cache,
-    # which is not the call's own memory
+    # peaks near its seven columns
     axis = range(1, 301)
-    lemma_check(lemma_id, axis, axis, 1, h, (10,))
     tracemalloc.start()
     try:
         report = lemma_check(lemma_id, axis, axis, 1, h, (10,))
@@ -688,18 +686,18 @@ def test_lemma_grid_point_budget(monkeypatch):
         lemma_check("L3", range(1, 4), range(1, 3), 1, 0, (5, 6, 7))
 
 
-def test_lemma_rows_are_held_to_the_distinct_values(monkeypatch):
-    # r = 1..6 and k = 3..8 share 3..6: the budget counts 8 distinct values,
-    # a row of N + h + 1 = 11 cells each, not the 12 rows of both axes
-    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 88)
+def test_lemma_rows_are_held_to_the_rows_sieved(monkeypatch):
+    # r = 1..6 and k = 3..8 share 3..6, but each axis is sieved on its own:
+    # the budget counts the 12 rows of both axes, N + h + 1 = 11 cells each
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 132)
     assert lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8)).all_pass
-    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 87)
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 131)
 
     def no_rows(*args, **kwargs):
         raise AssertionError("rows sieved for an over-budget grid")
 
     monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
-    with pytest.raises(ResourceLimitError, match="table of 88 cells exceeds budget 87"):
+    with pytest.raises(ResourceLimitError, match="table of 132 cells exceeds budget 131"):
         lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8))
 
 

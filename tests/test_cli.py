@@ -57,6 +57,15 @@ def test_crsum_both_modes(capsys):
     assert out == "-1 / -1.000000\n"
 
 
+def test_crsum_both_mismatch_exits_one(capsys, monkeypatch):
+    # the exponential route disagreeing with the exact one is a failed check, not a crash
+    monkeypatch.setattr(cr_sum, "cr_sum_exponential", lambda r, n, s: complex(0.5, 0.0))
+    code, out, err = run_cli(capsys, "crsum", "--r", "2", "--n", "1", "--s", "2", "--method", "both")
+    assert code == EXIT_ASSERTION
+    assert out == "-1 / 0.500000\n"
+    assert "mismatch" in err
+
+
 def test_crsum_usage_errors(capsys):
     code, _, err = run_cli(capsys, "crsum", "--r", "0", "--n", "1", "--s", "1")
     assert code == EXIT_USAGE
@@ -227,6 +236,24 @@ def test_orthogonality_grid_csv(tmp_path, capsys):
         values[(int(d), int(t))] = int(v)
     assert values[(2, 3)] == 0 and values[(3, 2)] == 0
     assert values[(6, 6)] == 2  # J_1(6) = phi(6)
+
+
+def test_orthogonality_perturbed_diagonal_exits_one(tmp_path, capsys, monkeypatch):
+    # a diagonal value off J_s(d) is counted and reported; the CSV is still written
+    orthogonality_grid = cr_sum.orthogonality_grid
+
+    def perturbed(r, s):
+        grid = orthogonality_grid(r, s)
+        d, t, value = grid[-1]
+        return grid[:-1] + [(d, t, value + 1)]
+
+    monkeypatch.setattr(cr_sum, "orthogonality_grid", perturbed)
+    path = tmp_path / "orth.csv"
+    code, out, err = run_cli(capsys, "orthogonality", "--r", "6", "--s", "1", "--out", str(path))
+    assert code == EXIT_ASSERTION
+    assert err == "orthogonality r=6 s=1: 1/16 pairs FAILED\n"
+    assert out == ""
+    assert path.read_text().splitlines()[-1] == "6,6,3"
 
 
 def test_orthogonality_over_budget_exits_before_summing(capsys, monkeypatch):
@@ -668,6 +695,20 @@ def test_lemmas_l2_scale_past_the_float_range_exits_four(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "float range" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "which, s",
+    # L1: gcd(2, 2)**1023 passes the bit-length test, N tau(r) tau(k) times it does not;
+    # L4: 2**1023 passes it, 2 N Phi_1024(2**1024) tau(k) does not
+    [("1", "1023"), ("4", "1024")],
+)
+def test_lemmas_bound_past_the_float_range_exits_four(capsys, which, s):
+    code, out, err = run_cli(
+        capsys, "lemmas", "--which", which, "--rmax", "2", "--kmax", "2", "--s", s, "--N", "1",
+    )
+    assert code == EXIT_RESOURCE
+    assert "bound exceeds the float range" in err and out == ""
 
 
 def test_lemmas_over_point_budget_exits_before_building(capsys, monkeypatch):

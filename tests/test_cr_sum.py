@@ -540,6 +540,20 @@ def test_streamed_table_memory_is_one_block():
     assert max(small, large) < 3 * block_bytes
 
 
+def test_tall_table_keeps_no_state_per_r():
+    # 2**16 + 1 rows of one column in one block, more r than a cache of 2**16
+    # entries would hold: each r is factorized for its row and nothing per r
+    # outlives the table, so the peak stays near the block and nothing is held
+    tracemalloc.start()
+    try:
+        cr_sum._stream_table_csv(_ByteCounter(), 2**16 + 1, 0, 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cr_sum._BLOCK_CELLS * 8
+    assert held < 2**20
+
+
 def test_streamed_wide_row_memory_is_the_row_and_one_tile():
     # a single row wider than a block is held as int64 once; its text goes
     # out one n-window at a time, so nothing else grows with the row
