@@ -46,6 +46,11 @@ LEMMA_IDS = ("L1", "L2", "L3", "L4")
 # columns; its line of output is written one block of points at a time.
 MAX_LEMMA_POINTS = 1_000_000
 
+# Largest lemma sum, in multiply-adds: len(r axis) * len(k axis) * max N, the
+# entries of the A @ B.T blocks. At this budget the sums take about 20 s on
+# Python ints and 2 s in int64 (2-core x86-64 VM).
+MAX_LEMMA_WORK = 10**9
+
 
 # ---------------------------------------------------------------------------
 # Correlation sums and main terms
@@ -414,7 +419,9 @@ def lemma_check(
     Grids beyond MAX_LEMMA_POINTS, counted from the axis lengths, and grids
     with an r or k past it (the longest axis a grid can have) are rejected
     before any axis is built; grids whose sieved rows (max N + h + 1 cells
-    per r and k axis entry) pass MAX_TABLE_CELLS are rejected before any sieve.
+    per r and k axis entry) pass MAX_TABLE_CELLS, or whose sums (len(r axis)
+    len(k axis) max N multiply-adds) pass MAX_LEMMA_WORK, are rejected before
+    any sieve.
     Then one float-range test from bit lengths (power_at_most) rejects, before
     any exact power is formed or any row sieved, an L1 bound past
     gcd(r, k)**s, an L2/L3 scale r**s k**s and an L4 bound past
@@ -458,6 +465,9 @@ def lemma_check(
     r_axis, k_axis, n_axis = np.array(r_values), np.array(k_values), np.array(n_values)
     r_max, k_max, n_max = max(r_values), max(k_values), max(n_values)
     _check_cells(len(r_axis) + len(k_axis), n_max + h)
+    work = len(r_axis) * len(k_axis) * n_max
+    if work > MAX_LEMMA_WORK:
+        raise ResourceLimitError(f"lemma sums of {work} multiply-adds exceed {MAX_LEMMA_WORK}")
     if lemma_id == "L1":
         gcd = np.gcd.outer(r_axis, k_axis)
         base, power, what = int(gcd.max()), s, "bound N tau(r) tau(k) gcd(r, k)**s >="

@@ -13,14 +13,17 @@ and it also holds the pieces that the cheap commands share with the sieving
 modules (ResourceLimitError, the shift decomposition h = m**s * k, the
 exact scalar c_r^s(n) of `crsum --method exact` with its digit check, and
 power_at_most, which sizes every power r**s held to a budget from bit
-lengths before forming it).
+lengths before forming it). Every command pays for its imports, so its two
+records, Factorization and HDecomposition, are NamedTuples, not dataclasses
+(which would pull in inspect, ast and dis): immutable and hashable, with
+tuple equality and unpacking.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Declared domain bound for factorize(). The Miller-Rabin bases below are
 # proven for every n below 3.18e23, far past this bound.
@@ -48,31 +51,11 @@ class ResourceLimitError(RuntimeError):
     """A computation was rejected because it exceeds a declared budget."""
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """An integer n together with its prime-power decomposition.
-
-    factors is ordered by prime, each exponent >= 1, and the product of
-    p**e reconstructs n. n == 1 has an empty factor list.
-    """
-
+# A NamedTuple body cannot define __new__, so Factorization checks its
+# fields in a subclass of this one.
+class _FactorizationFields(NamedTuple):
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"Factorization requires n >= 1, got {self.n}")
-        prod = 1
-        prev_p = 0
-        for p, e in self.factors:
-            if p <= prev_p:
-                raise ValueError("primes must be strictly increasing")
-            if e < 1:
-                raise ValueError("exponents must be >= 1")
-            prod *= p**e
-            prev_p = p
-        if prod != self.n:
-            raise ValueError(f"factors reconstruct {prod}, expected {self.n}")
 
     def divisors(self) -> list[int]:
         """All positive divisors of n, sorted ascending."""
@@ -86,6 +69,34 @@ class Factorization:
             divs.extend(block)
         divs.sort()
         return divs
+
+
+class Factorization(_FactorizationFields):
+    """An integer n together with its prime-power decomposition, as a NamedTuple (n, factors).
+
+    factors is ordered by prime, each exponent >= 1, and the product of
+    p**e reconstructs n. n == 1 has an empty factor list. Construction
+    checks all of this; factorize, correct by construction, builds its
+    result with _make, which skips the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        if n < 1:
+            raise ValueError(f"Factorization requires n >= 1, got {n}")
+        prod = 1
+        prev_p = 0
+        for p, e in factors:
+            if p <= prev_p:
+                raise ValueError("primes must be strictly increasing")
+            if e < 1:
+                raise ValueError("exponents must be >= 1")
+            prod *= p**e
+            prev_p = p
+        if prod != n:
+            raise ValueError(f"factors reconstruct {prod}, expected {n}")
+        return super().__new__(cls, n, factors)
 
 
 def _check_positive(name: str, value: int) -> None:
@@ -180,7 +191,7 @@ def factorize(n: int) -> Factorization:
         if p > _TRIAL_LIMIT:  # m >= p*p has no prime factor below p
             primes = _large_prime_factors(m)
             factors.extend((q, primes.count(q)) for q in sorted(set(primes)))
-            return Factorization(n, tuple(factors))
+            return Factorization._make((n, tuple(factors)))
         for q in (p, p + 2):
             if m % q == 0:
                 e = 0
@@ -191,7 +202,7 @@ def factorize(n: int) -> Factorization:
         p += 6
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return Factorization._make((n, tuple(factors)))
 
 
 def divisors(n: int) -> list[int]:
@@ -302,9 +313,8 @@ def is_power_free(n: int, s: int) -> bool:
     return all(e < s for _, e in factorize(n).factors)
 
 
-@dataclass(frozen=True)
-class HDecomposition:
-    """h = m**s * k with k s-th power free and m maximal."""
+class HDecomposition(NamedTuple):
+    """h = m**s * k with k s-th power free and m maximal, as a NamedTuple (h, m, k)."""
 
     h: int
     m: int

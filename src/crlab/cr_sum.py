@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +63,9 @@ from .core_arith import (  # ResourceLimitError and cr_sum_exact are re-exported
     jordan_totient,
     power_at_most,
 )
+
+if TYPE_CHECKING:  # fractions is imported where a Fraction is made, off every import path
+    from fractions import Fraction
 
 # The exponential route costs O(r**s) per call; it exists for verification.
 EXPONENTIAL_ROUTE_LIMIT = 10**7
@@ -426,6 +428,8 @@ def _rounded(op: Callable[[float, int], float], x: float, n: int) -> float:
     try:
         return op(x, n)
     except OverflowError:
+        from fractions import Fraction
+
         return float(op(Fraction(x), n))
 
 
@@ -546,6 +550,8 @@ def _period_gram(r: int, divs: Sequence[int], s: int) -> list[list[Fraction]]:
     and c_d^s(r**s) = J_s(d) is sieved), and the inner sums are their Gram
     matrix. Every inner sum is checked for exact divisibility by r**s.
     """
+    from fractions import Fraction
+
     period = _check_period(r, s)
     # Over a full period sum_m c_d^s(m)**2 = r**s J_s(d) <= r**(2s), so by
     # Cauchy-Schwarz every partial sum of c_d^s(m) c_t^s(m) is at most r**(2s).

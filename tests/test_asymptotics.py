@@ -29,7 +29,7 @@ from crlab.asymptotics import (
     theorem1_main,
     theorem2_main,
 )
-from crlab.core_arith import is_power_free, jordan_totient, sigma_real, tau_s, zeta
+from crlab.core_arith import HDecomposition, is_power_free, jordan_totient, sigma_real, tau_s, zeta
 from crlab.cr_sum import (
     ResourceLimitError,
     _ascending_sums,
@@ -187,6 +187,15 @@ def test_decompose_examples():
         assert (d1.m, d1.k) == (h, 1)
     d32 = decompose_h(32, 2)
     assert (d32.m, d32.k) == (4, 2)
+
+
+def test_decompose_record_keeps_its_fields():
+    d = decompose_h(72, 2)
+    assert (d.h, d.m, d.k) == (72, 6, 2)
+    assert d == HDecomposition(h=72, m=6, k=2)
+    assert repr(d) == "HDecomposition(h=72, m=6, k=2)"
+    with pytest.raises(AttributeError):
+        d.m = 1
 
 
 def test_decompose_roundtrip():
@@ -698,6 +707,20 @@ def test_lemma_rows_are_held_to_the_rows_sieved(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
     with pytest.raises(ResourceLimitError, match="table of 132 cells exceeds budget 131"):
+        lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8))
+
+
+def test_lemma_sums_are_held_to_the_work_budget(monkeypatch):
+    # 6 r * 6 k * max N 8 = 288 multiply-adds; the shorter N = 4 adds none
+    monkeypatch.setattr(asymptotics, "MAX_LEMMA_WORK", 288)
+    assert lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8)).all_pass
+    monkeypatch.setattr(asymptotics, "MAX_LEMMA_WORK", 287)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows sieved for an over-budget grid")
+
+    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
+    with pytest.raises(ResourceLimitError, match="lemma sums of 288 multiply-adds exceed 287"):
         lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8))
 
 

@@ -726,6 +726,21 @@ def test_lemmas_over_point_budget_exits_before_building(capsys, monkeypatch):
     assert out == ""
 
 
+def test_lemmas_over_work_budget_exits_before_building(capsys, monkeypatch):
+    # 1000 * 1000 * 1001 multiply-adds, one N past the real MAX_LEMMA_WORK of 10**9
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows sieved for an over-budget grid")
+
+    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
+    code, out, err = run_cli(
+        capsys, "lemmas", "--which", "3", "--rmax", "1000", "--kmax", "1000", "--s", "4",
+        "--N", "1001",
+    )
+    assert code == EXIT_RESOURCE
+    assert "resource error: lemma sums of 1001000000 multiply-adds exceed 1000000000" in err
+    assert out == ""
+
+
 # --- decompose ---------------------------------------------------------------
 
 

@@ -85,6 +85,7 @@ SMALL_BUDGETS = (
     (cr_sum, "MAX_SIGMA_LIMIT", 10**4),
     (cr_sum, "EXPONENTIAL_ROUTE_LIMIT", 10**4),
     (asymptotics, "MAX_LEMMA_POINTS", 10**5),
+    (asymptotics, "MAX_LEMMA_WORK", 10**6),
     (expansion, "MAX_SERIES_R", 10**4),
 )
 

@@ -117,6 +117,21 @@ def test_factorization_invariants_enforced():
         Factorization(12, ((2, 0), (3, 1)))
 
 
+# 2097133 * 2097143 is a 42-bit semiprime of the two largest primes below 2**21
+@pytest.mark.parametrize("n", [1, 2, 12, 2**62, 2**61 - 1, 2**63 - 25, 2097133 * 2097143], ids=str)
+def test_factorize_result_is_a_checked_factorization(n):
+    # factorize skips the check that direct construction makes; the two must agree
+    f = factorize(n)
+    assert type(f) is Factorization
+    assert f == Factorization(n, f.factors)
+    assert repr(f) == f"Factorization(n={n}, factors={f.factors!r})"
+    assert hash(f) == hash(Factorization(n, f.factors))
+    with pytest.raises(AttributeError):
+        f.n = n + 1
+    with pytest.raises(AttributeError):
+        f.factors = ()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**6))
 def test_factorize_reconstructs(n):

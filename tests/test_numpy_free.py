@@ -1,8 +1,8 @@
 """The numpy-free layer: crlab.cli starts on core_arith alone.
 
 `import crlab.cli`, `--help`, `decompose` and `crsum --method exact` must
-not load numpy, and the package's other public names must still resolve, to
-the same objects, on first access.
+not load numpy, dataclasses or fractions, and the package's other public
+names must still resolve, to the same objects, on first access.
 """
 
 import importlib
@@ -47,6 +47,10 @@ EXPORTS = {
 }
 
 
+# Modules kept off the start-up path of `import crlab.cli`.
+SLOW_IMPORTS = ("numpy", "dataclasses", "fractions")
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports crlab from this checkout."""
     env = dict(os.environ)
@@ -73,9 +77,18 @@ def run_python(code: str) -> subprocess.CompletedProcess:
     ids=["import", "help", "decompose", "crsum-exact"],
 )
 def test_cli_paths_leave_numpy_unloaded(code):
-    done = run_python(code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    # dataclasses (with inspect, ast and dis) and fractions cost the start-up of every command
+    listing = f"\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] in {SLOW_IMPORTS}))"
+    done = run_python(code + listing)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_cr_sum_leaves_fractions_unloaded():
+    # a Fraction is made only by _rounded's fall-back and the orthogonality Gram
+    done = run_python("import crlab.cr_sum, sys\nprint('fractions' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_submodules_still_import_by_name():
