@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, NamedTuple, Sequence
 
@@ -33,9 +34,9 @@ from .cr_sum import (
     _cr_column,
     _dirichlet_sieve,
     _int_dtype,
+    _mobius_row,
     _power_row,
     _python_op,
-    _sieve_rows,
     _write_rows,
 )
 from .expansion import ExpansionCoefficients, as_plain_n, sigma_expansion
@@ -45,11 +46,6 @@ LEMMA_IDS = ("L1", "L2", "L3", "L4")
 # Largest lemma grid, in points. Each point holds a slot in seven report
 # columns; its line of output is written one block of points at a time.
 MAX_LEMMA_POINTS = 1_000_000
-
-# Largest lemma sum, in multiply-adds: len(r axis) * len(k axis) * max N, the
-# entries of the A @ B.T blocks. At this budget the sums take about 20 s on
-# Python ints and 2 s in int64 (2-core x86-64 VM).
-MAX_LEMMA_WORK = 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -416,25 +412,20 @@ def lemma_check(
     L3: |shifted sum| <= sqrt(N) sqrt(N+h) sqrt(r**s k**s) tau_s(r**s) tau_s(k**s).
     L4: shifted sum <= 2 N Phi_s(r**s) tau(k), requiring h <= N.
 
-    Grids beyond MAX_LEMMA_POINTS, counted from the axis lengths, and grids
-    with an r or k past it (the longest axis a grid can have) are rejected
-    before any axis is built; grids whose sieved rows (max N + h + 1 cells
-    per r and k axis entry) pass MAX_TABLE_CELLS, or whose sums (len(r axis)
-    len(k axis) max N multiply-adds) pass MAX_LEMMA_WORK, are rejected before
-    any sieve.
-    Then one float-range test from bit lengths (power_at_most) rejects, before
-    any exact power is formed or any row sieved, an L1 bound past
-    gcd(r, k)**s, an L2/L3 scale r**s k**s and an L4 bound past
-    Phi_s(r**s) >= r**(s - 1) at or past 2**max_exp. The exact float
-    conversions decide the cases below that: L1 and L2/L3 before sieving,
-    L2's r**s k**s ln(r**s k**s) and L4's bound after.
-    The grid is the C-order broadcast of the r, k and N axes. With A the rows
-    of the r axis up to max N and B those of the k axis up to max N + h,
-    each sum_{n<=N} c_r^s(n) c_k^s(n + h) is an entry of A[:, 1:N+1] @
-    B[:, 1+h:N+h+1].T, added block by block between consecutive N.
-    |c_r^s| <= J_s(r) <= r**s bounds every partial sum by N r**s k**s; from
-    such bounds each exact column and product picks int64 or Python ints
-    (cr_sum._int_dtype). tau(r), L2's c_r^s(h) and L4's
+    Grids beyond MAX_LEMMA_POINTS, counted from the axis lengths, or with an
+    r or k past it (the longest axis a grid can have) are rejected before any
+    axis is built, and grids whose hit rows or mu sieves (below) pass
+    MAX_TABLE_CELLS before anything is built. Then a float-range test from bit
+    lengths (power_at_most) rejects an L1 bound past gcd(r, k)**s, an L2/L3
+    scale r**s k**s and an L4 bound past Phi_s(r**s) >= r**(s - 1) at or past
+    2**max_exp; exact float conversions decide the cases below that.
+    The grid is the C-order broadcast of the r, k and N axes. By Cohen's
+    definition each sum_{n<=N} c_r^s(n) c_k^s(n + h) is the sum over d | r,
+    e | k of mu(r/d) mu(k/e) d**s e**s C[e, d], where C, the count of n <= N
+    with d**s | n and e**s | n + h, is a product of 0/1 hit rows and mu is a
+    Dirichlet sieve along each axis, over every N at once; no r is
+    factorized. Each exact column picks int64 or Python ints from a bound on
+    its values (cr_sum._int_dtype). tau(r), L2's c_r^s(h) and L4's
     Phi_s(r**s) = c_r^s(0) are Dirichlet-sieved columns indexed by value.
     Exact bounds stay ints and each float column follows the operation order
     of the formulas.
@@ -464,10 +455,13 @@ def lemma_check(
         raise ValueError(f"L4 requires h <= N, got h={h}, N={first}")
     r_axis, k_axis, n_axis = np.array(r_values), np.array(k_values), np.array(n_values)
     r_max, k_max, n_max = max(r_values), max(k_values), max(n_values)
-    _check_cells(len(r_axis) + len(k_axis), n_max + h)
-    work = len(r_axis) * len(k_axis) * n_max
-    if work > MAX_LEMMA_WORK:
-        raise ResourceLimitError(f"lemma sums of {work} multiply-adds exceed {MAX_LEMMA_WORK}")
+    d_count, e_count = (  # the d <= max r with d**s <= N and e <= max k with e**s <= N + h
+        bisect_left(range(1, top + 1), True, key=lambda d: power_at_most(d, s, bound) is None)
+        for top, bound in ((r_max, n_max), (k_max, n_max + h))
+    )
+    _check_cells((d_count + e_count) * (n_max + h + 1), "lemma hit rows")
+    tops = sorted(set(n_values))  # the mu sieves fill every k <= max k, then every r <= max r
+    _check_cells(max((k_max + 1) * d_count, (r_max + 1) * len(k_axis)) * len(tops), "lemma mu sieves")
     if lemma_id == "L1":
         gcd = np.gcd.outer(r_axis, k_axis)
         base, power, what = int(gcd.max()), s, "bound N tau(r) tau(k) gcd(r, k)**s >="
@@ -511,19 +505,30 @@ def lemma_check(
             square = n_exact * (n_exact + h) * rk * (tau_r * tau_k).astype(dtype) ** 2
         del rk, rk_float  # else both stay bound through the sums and the report columns
 
-    a, b = _sieve_rows(r_values, n_max, s), _sieve_rows(k_values, n_max + h, s)
-    # every partial sum is at most N r**s k**s; past int64 the products run on Python ints
-    sum_dtype = _int_dtype(r_max * k_max, s, n_max)
-    tops = sorted(set(n_values))
-    blocks, total, prev = [], 0, 0
-    for top in tops:
-        block_a, block_b = a[:, prev + 1 : top + 1], b[:, prev + 1 + h : top + h + 1]
-        total = total + (
-            block_a.astype(sum_dtype, copy=False) @ block_b.T.astype(sum_dtype, copy=False)
-        )
-        blocks.append(total)
-        prev = top
-    sums = np.stack(blocks, axis=-1)[:, :, np.searchsorted(tops, n_axis)]
+    # C[e, d] = #{n <= N : d**s | n, e**s | n + h}, block by block between consecutive N; then
+    # mu along e, whose partial sums are integers of at most tau(k) (2N + h) < 2**53, as
+    # e**s C <= N + e**s (exact in float64), and along d, at most tau(r) tau(k) N (2N + h)
+    mu = _mobius_row(max(r_max, k_max))
+    powers = np.array([d**s for d in range(1, max(d_count, e_count) + 1)])
+    hits_d, hits_e = np.zeros((n_max + 1, d_count)), np.zeros((n_max + h + 1, e_count))
+    for hits in (hits_d, hits_e):  # [d**s | n] at [n, d - 1]: a window of n is one slice
+        for i in range(hits.shape[1]):
+            hits[:: powers[i], i] = 1.0
+    counts = np.zeros((e_count + 1, len(tops), d_count))
+    total, prev = 0, 0
+    for t, top in enumerate(tops):
+        total = total + hits_e[prev + 1 + h : top + h + 1].T @ hits_d[prev + 1 : top + 1]
+        counts[1 : e_count + 1, t], prev = total, top
+    del hits_d, hits_e
+    counts[1 : e_count + 1] *= powers[:e_count, None, None]
+    counts = _dirichlet_sieve(counts.reshape(e_count + 1, -1), mu[: k_max + 1, None])[k_axis]
+    sum_dtype = _int_dtype(n_max, 1, int(tau[: r_max + 1].max()) * int(tau_k.max()) * (2 * n_max + h))
+    counts = np.moveaxis(counts.reshape(len(k_axis), len(tops), d_count), 2, 0)
+    counts = counts.astype(np.int64).astype(sum_dtype, copy=False) * powers[:d_count, None, None]
+    counts = np.pad(counts, ((1, 0), (0, 0), (0, 0))).reshape(d_count + 1, -1)
+    sums = _dirichlet_sieve(counts, mu[: r_max + 1, None].astype(sum_dtype, copy=False))[r_axis]
+    del counts
+    sums = sums.reshape(len(r_axis), len(k_axis), len(tops))[:, :, np.searchsorted(tops, n_axis)]
 
     if lemma_id == "L2":  # c_r^s(h) from the exact column; c_r^s(0) = J_s(r) <= r**s, a float here
         c_h = _cr_column(h, s, r_max).astype(dtype, copy=False)

@@ -109,7 +109,7 @@ def _cmd_orthogonality(args: argparse.Namespace) -> int:
 
     grid = cr_sum.orthogonality_grid(args.r, args.s)
     failures = sum(value != (jordan_totient(d, args.s) if d == t else 0) for d, t, value in grid)
-    # every value is an integer: _period_gram checks that r**s divides each inner sum
+    # every value is an integer: a sum over divisor pairs of mu * mu * gcd**s (_period_gram)
     columns = list(zip(*((d, t, int(value)) for d, t, value in grid)))
     with _output(args.out) as handle:
         cr_sum._write_rows(handle, b"d,t,value\n", b"%d,%d,%d\n", columns, b"", b"")
@@ -147,7 +147,7 @@ def _meanvalue_f_values(args: argparse.Namespace, rows: int):
     if args.method != "one" and (args.k is None or args.k < 1):
         need = "--k (the inner index q)" if args.method == "crsum" else "--k"
         raise ValueError(f"meanvalue --method {args.method} needs {need}")
-    cr_sum._check_cells(rows, args.N)
+    cr_sum._check_cells(rows * (args.N + 1), "meanvalue rows")
     check_exponent(args.s)
     if args.method == "sigma":
         return asymptotics._sigma_ratio_values(args.k * args.s, args.N)

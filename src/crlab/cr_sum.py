@@ -3,13 +3,12 @@
 The production route is the exact integer divisor-sum representation
 c_r^s(n) = sum over d | r with d**s | n of mu(r/d) * d**s. The verification
 route evaluates the defining exponential sum over an s-reduced residue
-system mod r**s in floating point. Every sieved row (batch tables, lemma
-rows, period rows and mean-value rows) comes from one row sieve, _sieve_rows:
-the terms (d, mu(r/d)) of each row are generated from factorize(r) and added
-along the strides d**s; no per-r state outlives its row. Sieved rows cover
-n >= 1 only and are int64; tables fill column 0, J_s(r), from jordan_totient
-(_table_rows), and period rows run to n = r**s, where c_d^s(r**s) = J_s(d).
-Tables are read-only int64 (or object) grids; the
+system mod r**s in floating point. Every sieved row (batch tables and
+mean-value rows) comes from one row sieve, _sieve_rows: the terms
+(d, mu(r/d)) of each row are generated from factorize(r) and added along the
+strides d**s; no per-r state outlives its row. Sieved rows cover n >= 1 only
+and are int64; tables fill column 0, J_s(r), from jordan_totient
+(_table_rows). Tables are read-only int64 (or object) grids; the
 `table` command sieves row blocks of about _BLOCK_CELLS cells and writes each
 block straight to CSV, so it holds one block and no per-cell Python int,
 however large the table is. The CSV text of every block, int64 or object, is
@@ -21,8 +20,8 @@ or more in size (past int64 too) take a "%d" marker word there and are
 printed by Python into the tile text with one %-format. Every other file
 (lemma and correlation reports, coefficient and orthogonality CSV) is
 written from its columns by _write_rows, _TEXT_BLOCK rows at a time. Mean
-values sum the same row blocks.
-Orthogonality sums are exact integer Gram matrices of period rows.
+values sum the same row blocks. Orthogonality sums (_period_gram) and lemma
+sums (asymptotics.lemma_check) need no rows: they sum over divisor pairs.
 
 No power r**s is formed past the budget it is held to: core_arith.power_at_most
 decides r**s <= bound from bit lengths first. It picks int64 or object
@@ -34,10 +33,10 @@ one there.
 
 Every divisor sum over a range of n is one Dirichlet convolution
 sum_{d | n} f(d) g(n/d), computed by one numpy sieve, _dirichlet_sieve: the
-float sigma rows (f = d**x, g = 1), tau(r) (f = g = 1), and the exact column
+float sigma rows (f = d**x, g = 1), tau(r) (f = g = 1), the exact column
 c_r^s(n) over r at a fixed n (f = d**s on the d with d**s | n, g = mu, from
-the numpy Mobius row _mobius_row); lemma grids take tau(r) and
-Phi_s(r**s) = c_r^s(0) from these columns.
+the numpy Mobius row _mobius_row) and the lemma sums' Mobius steps; lemma
+grids take tau(r) and Phi_s(r**s) = c_r^s(0) from these columns.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ if TYPE_CHECKING:  # fractions is imported where a Fraction is made, off every i
 # The exponential route costs O(r**s) per call; it exists for verification.
 EXPONENTIAL_ROUTE_LIMIT = 10**7
 
-# Memory budget for dense batch tables, in cells.
+# Memory budget, in cells, for tables, mean-value rows and lemma hit rows and sieves.
 MAX_TABLE_CELLS = 50_000_000
 
 # Cells per sieved row block (8 MiB of int64) when a table streams out or
@@ -118,11 +117,10 @@ def _mobius_terms(r: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _check_cells(rows: int, n_max: int) -> None:
-    """Hold a grid of rows x (n_max + 1) cells to MAX_TABLE_CELLS."""
-    cells = rows * (n_max + 1)
+def _check_cells(cells: int, grid: str) -> None:
+    """Hold a grid of cells to MAX_TABLE_CELLS; a refusal names the grid."""
     if cells > MAX_TABLE_CELLS:
-        raise ResourceLimitError(f"table of {cells} cells exceeds budget {MAX_TABLE_CELLS}")
+        raise ResourceLimitError(f"{grid}: {cells} cells exceed budget {MAX_TABLE_CELLS}")
 
 
 def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
@@ -134,10 +132,9 @@ def _sieve_rows(r_values: Sequence[int], n_max: int, s: int) -> np.ndarray:
     n_max is formed. Column 0 is left 0: c_r^s(0) = J_s(r) is the one value
     that needs r**s (see _table_rows). Every partial sum at n >= 1 is a sum
     of distinct divisors d**s of n, at most sigma(n) < 2**63 within
-    MAX_TABLE_CELLS, so the grid is int64 whatever r and s are. It is held
-    to MAX_TABLE_CELLS before anything is sieved.
+    MAX_TABLE_CELLS, so the grid is int64 whatever r and s are. Its callers,
+    tables, mean values and meanvalue's f row, hold their grids to it first.
     """
-    _check_cells(len(r_values), n_max)
     grid = np.zeros((len(r_values), n_max + 1), dtype=np.int64)
     for i, r in enumerate(r_values):
         for d, m in _mobius_terms(r):
@@ -177,7 +174,7 @@ def _check_table(r_max: int, n_max: int, s: int) -> None:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    _check_cells(r_max, n_max)
+    _check_cells(r_max * (n_max + 1), "table")
     _check_digits(r_max, s)
 
 
@@ -374,25 +371,26 @@ def _power_row(limit: int, x: float) -> np.ndarray:
 
 
 def _dirichlet_sieve(f: np.ndarray, g: np.ndarray | None) -> np.ndarray:
-    """out[n] = sum of f[d] * g[n // d] over d | n for n <= L = len(f) - 1, added in ascending d.
+    """out[n] = sum of f[d] * g[n // d] over d | n for n <= L, added in ascending d.
 
     g = None stands for g = 1, whose terms are the f[d] themselves, so no
-    product is formed. Slot 0 of f and g is unused and out[0] = 0; out has
-    f's dtype. Divisors d <= isqrt(L) are added by stride. Each larger divisor
-    is d = n / m with m < d, so the cofactors m are taken in descending order,
-    each adding f[lo : L//m + 1] * g[m] along the stride m. Terms with
-    f[d] = 0 or g[m] = 0 are skipped: every use sums integers or
-    non-negative floats, to which an added zero changes nothing.
+    product is formed, and L = len(f) - 1; else L = len(g) - 1, f[d] = 0 past
+    f's end, and f may be rows convolved with a column g. Slot 0 of f and g is
+    unused and out[0] = 0; out has f's dtype. Divisors d <= isqrt(L) are added
+    by stride. Each larger divisor is d = n / m with m < d, so the cofactors m
+    are taken in descending order, each adding f[lo : L//m + 1] * g[m] along
+    the stride m. Terms with f[d] = 0 or g[m] = 0 are skipped: every use sums
+    integers or non-negative floats, to which an added zero changes nothing.
     """
-    limit = len(f) - 1
-    out = np.zeros_like(f)
+    limit = len(f) - 1 if g is None else len(g) - 1
+    out = np.zeros((limit + 1, *f.shape[1:]), dtype=f.dtype)
     lo = math.isqrt(limit) + 1
-    for d in range(1, lo):
-        if f[d]:
+    for d in range(1, min(lo, len(f))):
+        if np.any(f[d]):
             out[d::d] += f[d] if g is None else f[d] * g[1 : limit // d + 1]
     for m in range(limit // lo, 0, -1):
-        if g is None or g[m]:
-            hi = limit // m
+        if g is None or np.any(g[m]):
+            hi = min(limit // m, len(f) - 1)
             out[m * lo : m * hi + 1 : m] += f[lo : hi + 1] if g is None else f[lo : hi + 1] * g[m]
     return out
 
@@ -543,51 +541,48 @@ def _check_period(r: int, s: int) -> int:
     return period
 
 
-def _period_gram(r: int, divs: Sequence[int], s: int) -> list[list[Fraction]]:
-    """(1/r**s) * sum_{m=1}^{r**s} c_d^s(m) c_t^s(m) for every d, t in divs (each d | r).
+def _period_gram(r: int, s: int) -> dict[tuple[int, int], Fraction]:
+    """(1/r**s) sum_{m=1}^{r**s} c_d^s(m) c_t^s(m) at (d, t) for all divisors d, t of r, d-major.
 
-    The rows c_d^s(m), m = 0 .. r**s, come from one row sieve (column 0 is 0,
-    and c_d^s(r**s) = J_s(d) is sieved), and the inner sums are their Gram
-    matrix. Every inner sum is checked for exact divisibility by r**s.
+    r**s / lcm(a, b)**s of the m <= r**s are divisible by a**s and b**s, so by
+    Cohen's definition each is sum_{a | d, b | t} mu(d/a) mu(t/b) gcd(a, b)**s:
+    M G M^T, M the Mobius matrix, which on the exponent grid of r = prod p**e
+    is a difference along each prime's axis. Partial differences sum at most
+    tau(r)**2 terms <= r**s. r**s is held to EXPONENTIAL_ROUTE_LIMIT.
     """
     from fractions import Fraction
 
-    period = _check_period(r, s)
-    # Over a full period sum_m c_d^s(m)**2 = r**s J_s(d) <= r**(2s), so by
-    # Cauchy-Schwarz every partial sum of c_d^s(m) c_t^s(m) is at most r**(2s).
-    rows = _sieve_rows(divs, period, s).astype(_int_dtype(r, 2 * s), copy=False)
-    gram = (rows @ rows.T).tolist()
-    for d, sums in zip(divs, gram):
-        for t, total in zip(divs, sums):
-            if total % period != 0:
-                raise ArithmeticError(
-                    f"orthogonality inner sum {total} for d = {d}, t = {t} "
-                    f"is not divisible by r**s = {period}"
-                )
-    return [[Fraction(total, period) for total in sums] for sums in gram]
+    _check_period(r, s)
+    factors = factorize(r).factors
+    axes = tuple(e + 1 for _, e in factors)
+    divs = np.ones(1, dtype=np.int64)
+    for p, e in factors:  # the divisors in exponent-grid order
+        divs = np.multiply.outer(divs, p ** np.arange(e + 1)).ravel()
+    gram = (np.gcd.outer(divs, divs).astype(_int_dtype(r, s, len(divs) ** 2)) ** s).reshape(axes * 2)
+    for axis in range(gram.ndim):
+        gram = np.diff(gram, axis=axis, prepend=0)
+    order = np.argsort(divs)
+    divs, gram = divs[order].tolist(), gram.reshape(len(divs), -1)[np.ix_(order, order)].tolist()
+    return {(d, t): Fraction(value) for d, row in zip(divs, gram) for t, value in zip(divs, row)}
 
 
 def orthogonality_grid(r: int, s: int) -> list[tuple[int, int, Fraction]]:
     """(d, t, orthogonality_value(r, d, t, s)) for all divisors d, t of r, d-major.
 
-    One sieve of the tau(r) period rows and one Gram matrix, so the grid
-    holds tau(r) * (r**s + 1) cells and is limited to MAX_TABLE_CELLS as well
-    as r**s <= EXPONENTIAL_ROUTE_LIMIT.
+    One Mobius transform of the tau(r)**2 gcd powers (_period_gram), limited
+    to r**s <= EXPONENTIAL_ROUTE_LIMIT.
     """
     check_exponent(s)
     _check_r_n(r, 0)
-    divs = divisors(r)
-    gram = _period_gram(r, divs, s)
-    return [(d, t, value) for d, row in zip(divs, gram) for t, value in zip(divs, row)]
+    return [(d, t, value) for (d, t), value in _period_gram(r, s).items()]
 
 
 def orthogonality_value(r: int, d: int, t: int, s: int) -> Fraction:
     """(1/r**s) * sum_{m=1}^{r**s} c_d^s(m) c_t^s(m) as an exact rational.
 
-    Requires d | r and t | r. The inner sum is checked for exact
-    divisibility by r**s; the value is klee_phi(d**s, s) when d == t and
-    0 otherwise. The sum has r**s terms, so like the exponential route it is
-    limited to r**s <= EXPONENTIAL_ROUTE_LIMIT.
+    Requires d | r and t | r. The value is an integer (see _period_gram):
+    klee_phi(d**s, s) when d == t and 0 otherwise. Like the exponential
+    route it is limited to r**s <= EXPONENTIAL_ROUTE_LIMIT.
     """
     check_exponent(s)
     for name, val in (("r", r), ("d", d), ("t", t)):
@@ -597,7 +592,7 @@ def orthogonality_value(r: int, d: int, t: int, s: int) -> Fraction:
         raise ValueError(f"d = {d} does not divide r = {r}")
     if r % t != 0:
         raise ValueError(f"t = {t} does not divide r = {r}")
-    return _period_gram(r, (d, t), s)[0][1]
+    return _period_gram(r, s)[d, t]
 
 
 def _cr_column(n: int, s: int, r_max: int) -> np.ndarray:

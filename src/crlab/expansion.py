@@ -148,7 +148,7 @@ def mean_value_coefficients(f_values: np.ndarray, r_values: Sequence[int], s: in
     n_limit = len(f_values) - 1
     if r_values and n_limit < 1:
         raise ValueError(f"n_limit must be >= 1, got {n_limit}")
-    _check_cells(len(r_values), n_limit)
+    _check_cells(len(r_values) * (n_limit + 1), "meanvalue rows")
     sums = [np.zeros(0)]  # a block of no rows: np.concatenate needs one when r_values is empty
     for r_slice in _row_slices(r_values, n_limit):
         terms = _python_op(operator.mul, f_values[1:], _sieve_rows(r_slice, n_limit, s)[:, 1:])

@@ -660,7 +660,9 @@ def test_lemma_measured_repeated_unsorted_points():
 
 
 def test_lemma_sums_fall_back_to_python_ints_past_int64(monkeypatch):
-    # N * 30**5 * 30**5 > 2**63 although every c value fits the int64 grid
+    # with the int64 limit at 1 every exact column, the sums' Mobius sieve
+    # included, runs on Python ints, and the sums still match the oracle
+    monkeypatch.setattr(cr_sum, "_INT64_LIMIT", 1)
     dtypes = []
     int_dtype = asymptotics._int_dtype
 
@@ -669,9 +671,83 @@ def test_lemma_sums_fall_back_to_python_ints_past_int64(monkeypatch):
         return dtypes[-1]
 
     monkeypatch.setattr(asymptotics, "_int_dtype", spy)
-    # the largest r, k and N come last, so a bound taken from the first ones fails
-    _assert_measured_matches_oracle("L3", (28, 30), (29, 30), 5, 1, (7, 20_000))
+    for lemma_id, h in (("L3", 1), ("L2", 0), ("L4", 1)):
+        grid = ((28, 30, 1), (29, 30, 1), 5, h, (7, 2000, 40))
+        assert _exact_sums(lemma_id, *grid) == _oracle_sums(lemma_id, *grid)
     assert dtypes and all(dtype is object for dtype in dtypes)
+
+
+def _oracle_sums(lemma_id, r_values, k_values, s, h, n_values) -> list:
+    # the sums of the row route, as Python ints: sieved c-rows of each axis and their products
+    a = cr_sum._sieve_rows(r_values, max(n_values), s).astype(object)
+    b = cr_sum._sieve_rows(k_values, max(n_values) + h, s).astype(object)
+    sums = [a[:, 1 : n + 1] @ b[:, 1 + h : n + h + 1].T for n in n_values]
+    out = []
+    for i, r in enumerate(r_values):
+        for j, k in enumerate(k_values):
+            for n, total in zip(n_values, sums):
+                total = total[i, j]
+                if lemma_id == "L2":
+                    total -= n * cr_sum_exact(r, h, s) if r == k else 0
+                out.append(abs(total) if lemma_id in ("L2", "L3") else total)
+    return out
+
+
+def _exact_sums(lemma_id, *grid) -> list:
+    # the exact column that lemma_check turns into its measured floats, every point of the grid
+    seen = []
+    float_column = asymptotics._float_column
+
+    def spy(exact, *args):
+        if args[1] == "sum":
+            seen.append(exact)
+        return float_column(exact, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asymptotics, "_float_column", spy)
+        lemma_check(lemma_id, *grid)
+    return [int(x) for x in seen[0].ravel().tolist()]
+
+
+@st.composite
+def _divisor_basis_grids(draw):
+    # unsorted, repeated and sparse axes, h past N included (L2, L3), several N per grid
+    lemma_id = draw(st.sampled_from(asymptotics.LEMMA_IDS))
+    s = draw(st.integers(min_value=1, max_value=5))
+    h = 0 if lemma_id == "L1" else draw(st.integers(min_value=0, max_value=40))
+    value = st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=400))
+    r_values = draw(st.lists(value, min_size=1, max_size=4))
+    k_values = draw(st.lists(value, min_size=1, max_size=4))
+    if lemma_id == "L2" and set(r_values) == set(k_values) == {1}:
+        r_values.append(2)
+    low = h if lemma_id == "L4" else 1
+    n_values = draw(st.lists(st.integers(min_value=max(low, 1), max_value=400), min_size=1, max_size=4))
+    return lemma_id, r_values, k_values, s, h, n_values
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=_divisor_basis_grids())
+@example(grid=("L3", [7, 30, 2, 30], [5, 1], 5, 3, [20, 1, 7]))  # only d = e = 1: 2**5 > N + h
+@example(grid=("L2", [3, 1], [3, 2], 4, 40, [15, 2]))  # only d = 1, and e = 1, 2 with h > N
+@example(grid=("L1", [400, 1, 400], [1, 399], 2, 0, [1, 3]))  # d = 1 at N = 1, sparse axes
+@example(grid=("L4", [1, 12, 6], [12, 1], 1, 4, [4, 400, 9]))
+def test_lemma_sums_match_the_row_route(grid):
+    # counts of divisor hits with mu along each axis give the sieved rows' products exactly
+    lemma_id, *rest = grid
+    assert _exact_sums(lemma_id, *rest) == _oracle_sums(lemma_id, *rest)
+
+
+def test_tall_lemma_grid_takes_no_per_r_work(monkeypatch):
+    # no c-row, no Mobius terms and no factorization of any r
+    def per_r(*args):
+        raise AssertionError("per-r work in a lemma grid")
+
+    monkeypatch.setattr(cr_sum, "_mobius_terms", per_r)
+    monkeypatch.setattr(cr_sum, "factorize", per_r)
+    report = lemma_check("L4", range(1, 300001), (1,), 1, 0, (10,))
+    assert report.all_pass and len(report.measured) == 300000
+    for r in (1, 2, 10, 12, 2520, 299999, 300000):
+        assert report.measured[r - 1] == _exact_product_sum(r, 1, 1, 0, 10)
 
 
 @pytest.mark.parametrize("lemma_id, k_max, h", [("L1", 3, 0), ("L3", 1, 0), ("L4", 3, 2)])
@@ -688,40 +764,51 @@ def test_lemma_grid_point_budget(monkeypatch):
     assert len(lemma_check("L3", range(1, 4), range(1, 3), 1, 0, (5, 6)).entries) == 12
 
     def no_rows(*args, **kwargs):
-        raise AssertionError("rows sieved for an over-budget grid")
+        raise AssertionError("lemma sums begun for an over-budget grid")
 
-    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
+    monkeypatch.setattr(asymptotics, "_mobius_row", no_rows)
     with pytest.raises(ResourceLimitError):
         lemma_check("L3", range(1, 4), range(1, 3), 1, 0, (5, 6, 7))
 
 
 def test_lemma_rows_are_held_to_the_rows_sieved(monkeypatch):
-    # r = 1..6 and k = 3..8 share 3..6, but each axis is sieved on its own:
-    # the budget counts the 12 rows of both axes, N + h + 1 = 11 cells each
-    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 132)
+    # at s = 1 the hit rows are the d <= min(6, N) and the e <= min(8, N + h):
+    # 6 + 8 rows of N + h + 1 = 11 cells each
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 154)
     assert lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8)).all_pass
-    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 131)
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 153)
 
     def no_rows(*args, **kwargs):
-        raise AssertionError("rows sieved for an over-budget grid")
+        raise AssertionError("lemma sums begun for an over-budget grid")
 
-    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
-    with pytest.raises(ResourceLimitError, match="table of 132 cells exceeds budget 131"):
+    monkeypatch.setattr(asymptotics, "_mobius_row", no_rows)
+    with pytest.raises(ResourceLimitError, match="lemma hit rows: 154 cells exceed budget 153"):
         lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8))
 
 
-def test_lemma_sums_are_held_to_the_work_budget(monkeypatch):
-    # 6 r * 6 k * max N 8 = 288 multiply-adds; the shorter N = 4 adds none
-    monkeypatch.setattr(asymptotics, "MAX_LEMMA_WORK", 288)
-    assert lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8)).all_pass
-    monkeypatch.setattr(asymptotics, "MAX_LEMMA_WORK", 287)
+def test_lemma_hit_rows_count_the_powers_up_to_n(monkeypatch):
+    # at s = 2 only d <= isqrt(8) = 2 and e <= isqrt(10) = 3 can divide: 5 rows of 11 cells
+    # the mu sieve over every r <= 6 for 6 k and 2 N holds 7 * 6 * 2 = 84 cells
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 84)
+    assert lemma_check("L3", range(1, 7), range(3, 9), 2, 2, (4, 8)).all_pass
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 54)
+    with pytest.raises(ResourceLimitError, match="lemma hit rows: 55 cells exceed budget 54"):
+        lemma_check("L3", range(1, 7), range(3, 9), 2, 2, (4, 8))
+
+
+def test_lemma_sieves_of_sparse_axes_are_held_to_their_padding(monkeypatch):
+    # the r sieve runs over every r <= 1000 for each of 2 k and 2 N: 1001 * 2 * 2 cells
+    grid = ("L3", (1000, 3), (7, 1), 1, 0, (1, 5))
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 4004)
+    _assert_measured_matches_oracle(*grid)
+    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 4003)
 
     def no_rows(*args, **kwargs):
-        raise AssertionError("rows sieved for an over-budget grid")
+        raise AssertionError("lemma sums begun for an over-budget grid")
 
-    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
-    with pytest.raises(ResourceLimitError, match="lemma sums of 288 multiply-adds exceed 287"):
-        lemma_check("L3", range(1, 7), range(3, 9), 1, 2, (4, 8))
+    monkeypatch.setattr(asymptotics, "_mobius_row", no_rows)
+    with pytest.raises(ResourceLimitError, match="lemma mu sieves: 4004 cells exceed budget 4003"):
+        lemma_check(*grid)
 
 
 def test_lemma_grid_values_are_held_to_the_longest_axis(monkeypatch):
@@ -736,7 +823,7 @@ def test_lemma_grid_values_are_held_to_the_longest_axis(monkeypatch):
     def nothing_built(*args, **kwargs):
         raise AssertionError("a column was built for an over-budget r or k")
 
-    for name in ("_sieve_rows", "_dirichlet_sieve", "_cr_column"):
+    for name in ("_mobius_row", "_dirichlet_sieve", "_cr_column"):
         monkeypatch.setattr(asymptotics, name, nothing_built)
     over = (("L4", (13, 5), (1,)), ("L1", (1,), (2, 13)), ("L2", (13,), (13,)))
     for lemma_id, r_values, k_values in over:
@@ -868,9 +955,9 @@ def test_lemma_grid_past_the_float_range_exits_before_sieving(monkeypatch, lemma
     # an L1 bound, an L2/L3 scale r**s k**s or an L2 scale r**s k**s ln(r**s k**s)
     # past the float range is refused before any row is sieved
     def no_rows(*args, **kwargs):
-        raise AssertionError("rows sieved for a grid past the float range")
+        raise AssertionError("lemma sums begun for a grid past the float range")
 
-    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
+    monkeypatch.setattr(asymptotics, "_mobius_row", no_rows)
     with pytest.raises(ResourceLimitError, match="float range"):
         lemma_check(lemma_id, range(1, axis + 1), range(1, axis + 1), s, h, (10,))
 

@@ -171,6 +171,7 @@ def test_table_over_budget_writes_no_output(tmp_path, capsysbinary, monkeypatch)
             captured = capsysbinary.readouterr()
             assert b"resource" in captured.err and captured.out == b""
             assert not path.exists()
+    assert b"resource error: table: 1000100000 cells exceed budget" in captured.err
 
 
 def test_table_and_crsum_digit_budget_edge(capsys):
@@ -505,7 +506,7 @@ def test_meanvalue_over_cell_budget_exits_before_sieving(capsys, monkeypatch, me
                    ("--N", str(cr_sum.MAX_TABLE_CELLS), "--r", "3")):
         code, out, err = run_cli(capsys, "meanvalue", *method, "--s", "1", *extent)
         assert code == EXIT_RESOURCE
-        assert "resource" in err and str(cr_sum.MAX_TABLE_CELLS) in err
+        assert "resource error: meanvalue rows: " in err and str(cr_sum.MAX_TABLE_CELLS) in err
         assert out == ""
 
 
@@ -712,11 +713,11 @@ def test_lemmas_bound_past_the_float_range_exits_four(capsys, which, s):
 
 
 def test_lemmas_over_point_budget_exits_before_building(capsys, monkeypatch):
-    # 10**8 points on a table of only 2 * 10**4 cells
+    # 10**8 points over only two hit rows of N + 1 = 2 cells
     def no_rows(*args, **kwargs):
-        raise AssertionError("rows sieved for an over-budget grid")
+        raise AssertionError("lemma sums begun for an over-budget grid")
 
-    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
+    monkeypatch.setattr(asymptotics, "_mobius_row", no_rows)
     code, out, err = run_cli(
         capsys, "lemmas", "--which", "3", "--rmax", "10000", "--kmax", "10000", "--s", "1",
         "--N", "1",
@@ -726,18 +727,18 @@ def test_lemmas_over_point_budget_exits_before_building(capsys, monkeypatch):
     assert out == ""
 
 
-def test_lemmas_over_work_budget_exits_before_building(capsys, monkeypatch):
-    # 1000 * 1000 * 1001 multiply-adds, one N past the real MAX_LEMMA_WORK of 10**9
+def test_lemmas_over_hit_row_budget_names_the_hit_rows(capsys, monkeypatch):
+    # d <= 1 and e <= 2 divide some n <= N + h: 3 hit rows of N + h + 1 cells
     def no_rows(*args, **kwargs):
-        raise AssertionError("rows sieved for an over-budget grid")
+        raise AssertionError("lemma sums begun for an over-budget grid")
 
-    monkeypatch.setattr(asymptotics, "_sieve_rows", no_rows)
+    monkeypatch.setattr(asymptotics, "_mobius_row", no_rows)
     code, out, err = run_cli(
-        capsys, "lemmas", "--which", "3", "--rmax", "1000", "--kmax", "1000", "--s", "4",
-        "--N", "1001",
+        capsys, "lemmas", "--which", "3", "--rmax", "2", "--kmax", "2", "--s", "1",
+        "--h", "49999990", "--N", "1",
     )
     assert code == EXIT_RESOURCE
-    assert "resource error: lemma sums of 1001000000 multiply-adds exceed 1000000000" in err
+    assert "resource error: lemma hit rows: 149999976 cells exceed budget 50000000" in err
     assert out == ""
 
 

@@ -237,7 +237,7 @@ def test_orthogonality_object_dtype_path(monkeypatch):
 
 
 def test_orthogonality_multiplies_in_int64_below_the_cauchy_schwarz_bound(monkeypatch):
-    # 144**6 < 2**63 <= 144**9: partial sums are capped at r**(2s), not r**(3s)
+    # every partial Mobius difference is at most tau(r)**2 r**s = 15**2 * 144**3 < 2**63
     dtypes = _spy_int_dtype(monkeypatch)
     assert orthogonality_value(144, 72, 72, 3) == jordan_totient(72, 3) == 314496
     assert dtypes == [np.int64]
@@ -248,7 +248,7 @@ def test_orthogonality_multiplies_in_int64_below_the_cauchy_schwarz_bound(monkey
     [
         (11, 17, 5, np.int64),  # exact columns at s = 17: 11**17 * 5 < 2**63 <= 12**17 * 5
         (12, 17, 5, object),
-        (144, 6, 1, np.int64),  # the orthogonality Gram at r = 144, s = 3: r**(2s) = 144**6
+        (144, 6, 1, np.int64),  # 144**6 < 2**63 <= 144**9
         (144, 9, 1, object),
         (3037000499, 2, 1, np.int64),  # L3's sum**2 <= (N rk**s)**2; 3037000499 = isqrt(2**63 - 1)
         (3037000500, 2, 1, object),
@@ -271,35 +271,33 @@ def test_int_dtype_edges(base, s, factor, dtype):
     assert _int_dtype(base, s, factor) is dtype
 
 
-def test_orthogonality_rejects_indivisible_sums(monkeypatch):
-    # one corrupted cell, c_1(1) = 2, makes the (1, 1) sum r**s + 3
-    sieve_rows = cr_sum._sieve_rows
-
-    def corrupted(*args):
-        grid = sieve_rows(*args)
-        grid[0, 1] += 1
-        return grid
-
-    monkeypatch.setattr(cr_sum, "_sieve_rows", corrupted)
-    with pytest.raises(ArithmeticError):
-        orthogonality_grid(6, 1)
-    with pytest.raises(ArithmeticError):
-        orthogonality_value(6, 1, 1, 1)
-
-
 def test_orthogonality_grid_budgets(monkeypatch):
-    def no_sieve(*args):
-        raise AssertionError("period rows sieved for an over-budget grid")
+    def no_work(*args):
+        raise AssertionError("divisors worked on for an over-budget grid")
 
-    # every sieved row starts from the Mobius terms of its r
-    monkeypatch.setattr(cr_sum, "_mobius_terms", no_sieve)
+    monkeypatch.setattr(cr_sum, "factorize", no_work)
     with pytest.raises(ResourceLimitError):
         orthogonality_grid(2, 24)  # r**s = 2**24 > EXPONENTIAL_ROUTE_LIMIT
-    monkeypatch.setattr(cr_sum, "MAX_TABLE_CELLS", 6 * 144 - 1)
-    with pytest.raises(ResourceLimitError):
-        orthogonality_grid(12, 2)  # tau(12) = 6 rows of 144 cells
     with pytest.raises(ValueError):
         orthogonality_grid(0, 1)
+
+
+def test_orthogonality_grid_past_the_old_period_rows(monkeypatch):
+    # tau(720720) = 240 period rows of 720721 cells each would be 1.7 * 10**8 cells;
+    # the divisor route holds 240**2 gcd powers and builds no row
+    def no_rows(*args):
+        raise AssertionError("a c-row was sieved for orthogonality")
+
+    monkeypatch.setattr(cr_sum, "_sieve_rows", no_rows)
+    monkeypatch.setattr(cr_sum, "_mobius_terms", no_rows)
+    start = time.perf_counter()
+    grid = orthogonality_grid(720720, 1)
+    assert time.perf_counter() - start < 1.0
+    divs = [int(d) for d in sympy.divisors(720720)]
+    assert [(d, t) for d, t, _ in grid] == [(d, t) for d in divs for t in divs]
+    expected = [int(sympy.totient(d)) if d == t else 0 for d in divs for t in divs]
+    assert [value for _, _, value in grid] == expected
+    assert all(isinstance(value, Fraction) for _, _, value in grid)
 
 
 # --- batch tables ------------------------------------------------------------
